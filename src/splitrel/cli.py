@@ -5,11 +5,13 @@ with ``@``, or from stdin when given as ``-``.  Exit codes: 0 success,
 1 a checked property failed (eq found the terms different, or a report
 contains failures), 2 input could not be parsed, 3 a term is ill-typed
 or in the wrong signature, 4 a precondition was violated (eq on terms
-of different types, separate on equal terms).
+of different types, separate on equal terms, a negative --max-param or
+--count), 5 an unexpected exception, so a crash never reads as a verdict.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,14 +20,7 @@ from splitrel.catalog import axiom_catalog, check_axiom
 from splitrel.dsl import ParseError, parse, print_term
 from splitrel.fuzz import fuzz_report
 from splitrel.maximality import separate
-from splitrel.normalform import (
-    eta_nf,
-    eta_nf_term,
-    etabar_nf,
-    etabar_nf_term,
-    iota_nf,
-    iota_nf_term,
-)
+from splitrel.normalform import NORMAL_FORMS
 from splitrel.relations import BinRel, SplitRelation
 from splitrel.render import ascii_picture, dot_graph, text_listing
 from splitrel.semantics import equal, eval_term, resolve_category
@@ -36,18 +31,13 @@ EXIT_DIFFER = 1
 EXIT_PARSE = 2
 EXIT_TYPE = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 _VALUE_FORMATS = {
     "json": lambda v: v.to_json(),
     "text": text_listing,
     "ascii": ascii_picture,
     "dot": dot_graph,
-}
-
-_NORMALIZERS = {
-    Category.PF: ("eta", eta_nf, eta_nf_term),
-    Category.EF: ("etabar", etabar_nf, etabar_nf_term),
-    Category.RB: ("iota", iota_nf, iota_nf_term),
 }
 
 
@@ -80,11 +70,9 @@ def cmd_eq(args: argparse.Namespace) -> int:
     f = parse(_read_source(args.lhs), override)
     g = parse(_read_source(args.rhs), override)
     category = resolve_category(f, g, category=override)
-    if type_of(f) != type_of(g):
-        print(
-            f"cannot compare: {type_of(f)} vs {type_of(g)}",
-            file=sys.stderr,
-        )
+    f_type, g_type = type_of(f), type_of(g)
+    if f_type != g_type:
+        print(f"cannot compare: {f_type} vs {g_type}", file=sys.stderr)
         return EXIT_PRECONDITION
     same = equal(f, g, category)
     witness = None
@@ -106,7 +94,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     override = _category(args)
     term = parse(_read_source(args.term), override)
     category = resolve_category(term, category=override)
-    kind, to_nf, from_nf = _NORMALIZERS[category]
+    kind, to_nf, from_nf = NORMAL_FORMS[category]
     payload = to_nf(term)
     canonical = print_term(from_nf(payload))
     if args.format == "json":
@@ -118,6 +106,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_check_axioms(args: argparse.Namespace) -> int:
+    if args.max_param < 0:
+        raise ValueError(f"--max-param must be non-negative, got {args.max_param}")
     categories = (
         [Category[args.category]] if args.category else list(Category)
     )
@@ -200,6 +190,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     report = fuzz_report(
         Category[args.category],
         args.count,
@@ -225,6 +217,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if report["ok"] else EXIT_DIFFER
 
 
+# Looked up per call, not kept on the cached parser: a replaced handler applies.
+_COMMANDS = {
+    "eval": cmd_eval,
+    "eq": cmd_eq,
+    "normalize": cmd_normalize,
+    "check-axioms": cmd_check_axioms,
+    "separate": cmd_separate,
+    "render": cmd_render,
+    "fuzz": cmd_fuzz,
+}
+
+
 def _add_category(sub: argparse.ArgumentParser, required: bool = False) -> None:
     sub.add_argument(
         "--category",
@@ -241,7 +245,10 @@ def _add_format(sub: argparse.ArgumentParser, choices: list[str],
     sub.add_argument("--format", choices=choices, default=default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: ``parse_args`` keeps no state on it, defaults
+    are immutable, and streams and terminal width are read when printing."""
     parser = argparse.ArgumentParser(
         prog="splitrel",
         description=(
@@ -257,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("term")
     _add_category(sub)
     _add_format(sub, ["json", "text", "ascii", "dot"], "json")
-    sub.set_defaults(func=cmd_eval)
 
     sub = commands.add_parser("eq", help="decide whether two terms are equal")
     sub.add_argument("lhs")
@@ -266,21 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sub, ["json", "text"], "text")
     sub.add_argument("--separate", action="store_true",
                      help="attach a separating context when not equal")
-    sub.set_defaults(func=cmd_eq)
 
     sub = commands.add_parser("normalize",
                               help="print the normal form payload and term")
     sub.add_argument("term")
     _add_category(sub)
     _add_format(sub, ["json", "text"], "text")
-    sub.set_defaults(func=cmd_normalize)
 
     sub = commands.add_parser("check-axioms",
                               help="evaluate both sides of every axiom")
     _add_category(sub)
     sub.add_argument("--max-param", type=int, default=3)
     _add_format(sub, ["json", "text"], "text")
-    sub.set_defaults(func=cmd_check_axioms)
 
     sub = commands.add_parser("separate",
                               help="build a separating context for two terms")
@@ -288,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("rhs")
     _add_category(sub)
     _add_format(sub, ["json", "text"], "json")
-    sub.set_defaults(func=cmd_separate)
 
     sub = commands.add_parser("render", help="picture a relation value")
     sub.add_argument("value", help="value JSON (as printed by eval)")
     _add_category(sub)
     _add_format(sub, ["ascii", "dot", "text", "json"], "ascii")
-    sub.set_defaults(func=cmd_render)
 
     sub = commands.add_parser("fuzz", help="run the seeded random battery")
     _add_category(sub, required=True)
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-pad", type=int, default=3)
     sub.add_argument("--max-arity", type=int, default=3)
     _add_format(sub, ["json", "text"], "text")
-    sub.set_defaults(func=cmd_fuzz)
 
     return parser
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -325,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

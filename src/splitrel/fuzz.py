@@ -5,14 +5,7 @@ import random
 
 from splitrel.dsl import print_term
 from splitrel.maximality import separate
-from splitrel.normalform import (
-    eta_nf,
-    eta_nf_term,
-    etabar_nf,
-    etabar_nf_term,
-    iota_nf,
-    iota_nf_term,
-)
+from splitrel.normalform import NORMAL_FORMS
 from splitrel.semantics import equal, eval_term
 from splitrel.terms import (
     ArrowTerm,
@@ -144,13 +137,6 @@ def random_term_pair(
     return f, f
 
 
-_NORMAL_FORMS = {
-    Category.PF: (eta_nf, eta_nf_term),
-    Category.EF: (etabar_nf, etabar_nf_term),
-    Category.RB: (iota_nf, iota_nf_term),
-}
-
-
 def _instance_rng(seed: int, index: int) -> random.Random:
     # one generator per instance, so reports do not depend on batching
     return random.Random(seed * 1_000_003 + index)
@@ -173,7 +159,7 @@ def fuzz_report(
     non-equal pair can be separated with differing results.  The report is
     a pure function of the arguments.
     """
-    to_nf, from_nf = _NORMAL_FORMS[category]
+    _, to_nf, from_nf = NORMAL_FORMS[category]
     checks = {"roundtrip": 0, "agreement": 0, "separation": 0}
     equal_pairs = 0
     failures: list[dict] = []

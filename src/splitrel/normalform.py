@@ -268,3 +268,11 @@ def iota_nf_term(nf: IotaNF) -> ArrowTerm:
         term = single if term is None else union_term(single, term)
     assert term is not None
     return term
+
+
+# Per category: the kind ``normalize`` prints, the normal form, its term.
+NORMAL_FORMS = {
+    Category.PF: ("eta", eta_nf, eta_nf_term),
+    Category.EF: ("etabar", etabar_nf, etabar_nf_term),
+    Category.RB: ("iota", iota_nf, iota_nf_term),
+}

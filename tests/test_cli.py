@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from splitrel.cli import main
+from splitrel import cli
+from splitrel.cli import EXIT_DIFFER, EXIT_INTERNAL, EXIT_PRECONDITION, main
 from splitrel.dsl import parse, print_term
 from splitrel.fuzz import random_term
 from splitrel.terms import Category
@@ -93,6 +94,71 @@ def test_file_source(capsys, tmp_path):
 def test_exit_codes(argv, code, capsys):
     assert main(argv) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-axioms", "--max-param", "-1"],
+        ["fuzz", "--category", "PF", "--count", "-1"],
+    ],
+)
+def test_negative_sizes_are_rejected(argv, capsys):
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition failed: --")
+    assert captured.err.count("\n") == 1
+
+
+def test_unexpected_exception_has_its_own_exit_code(capsys, monkeypatch):
+    def crash(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", crash)
+    assert main(["eval", "h"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+
+    def interrupt(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["eval", "h"])
+
+
+def test_deep_term_never_reads_as_a_verdict(capsys):
+    chain = " . ".join(["h"] * 3000)
+    code = main(["eq", chain, "swap . " + chain])
+    captured = capsys.readouterr()
+    if code == EXIT_INTERNAL:
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+    else:
+        # only a computed verdict may exit 1: the chains differ
+        assert (code, captured.out) == (EXIT_DIFFER, "not equal\n")
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    names = sorted(GOLDEN_CASES)
+    for name in names:
+        argv, expected_code = GOLDEN_CASES[name]
+        assert main(argv) == expected_code, name
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(), name
+    with pytest.raises(SystemExit) as exc:
+        main(["eval"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for name in reversed(names):
+        argv, expected_code = GOLDEN_CASES[name]
+        assert main(argv) == expected_code, name
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(), name
+    assert main(["eq", "--separate", "--format", "json", "h", "id(2)"]) == 1
+    assert capsys.readouterr().out == (GOLDEN / "eq-h-id2.json").read_text()
+    assert main(["eq", "h", "id(2)"]) == 1
+    assert capsys.readouterr().out == "not equal\n"
 
 
 def test_fuzz_is_deterministic_per_seed(capsys):

@@ -5,8 +5,10 @@ with ``@``, or from stdin when given as ``-``.  Exit codes: 0 success,
 1 a checked property failed (eq found the terms different, or a report
 contains failures), 2 input could not be parsed, 3 a term is ill-typed
 or in the wrong signature, 4 a precondition was violated (eq on terms
-of different types, separate on equal terms, a negative --max-param or
---count), 5 an unexpected exception, so a crash never reads as a verdict.
+of different types, separate on equal terms, an unreadable @file, a
+negative --max-param, or a negative fuzz --count, --max-depth, --max-pad
+or --max-arity), 5 an unexpected exception, so a crash never reads as a
+verdict.
 """
 from __future__ import annotations
 
@@ -45,7 +47,10 @@ def _read_source(text: str) -> str:
     if text == "-":
         return sys.stdin.read()
     if text.startswith("@"):
-        return Path(text[1:]).read_text()
+        try:
+            return Path(text[1:]).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from exc
     return text
 
 
@@ -190,8 +195,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        raise ValueError(f"--count must be non-negative, got {args.count}")
+    for option in ("count", "max_depth", "max_pad", "max_arity"):
+        if getattr(args, option) < 0:
+            raise ValueError(
+                f"--{option.replace('_', '-')} must be non-negative, "
+                f"got {getattr(args, option)}"
+            )
     report = fuzz_report(
         Category[args.category],
         args.count,

@@ -205,25 +205,40 @@ def compose_rows(
     p_rows: Sequence[int],
     q_rows: Sequence[int],
     vias: Iterable[int] | None = None,
+    left: int = 0,
+    right: int = 0,
 ) -> list[int]:
     """Rows of p : n->mid composed with q : mid->k, over n + k points.
 
-    Glues q's source copy onto p's target copy at the middle band
-    n..n+mid-1, closes through `vias` (every glued point by default),
-    and cuts the middle band out.  When both factors are transitive a
-    chain through the glued relation changes factor only at a middle
-    point, so closing through the middle band alone is enough.
+    q is the padding of a body a->b by `left` and `right` identity
+    strands (none by default), and `q_rows` are the body's rows:
+    a = mid - left - right, b = k - left - right.  The body's source
+    copy is glued onto p's target copy at n+left..n+left+a-1 and its
+    targets follow p's points; the result is closed through `vias`
+    (every point by default), and the body's sources are cut out.  An
+    identity strand only renames a point, so p's middle point stands for
+    the strand's target and the padded rows are never built; this needs
+    p reflexive on the strands, which holds for every preorder.
+
+    When both factors are transitive a chain through the glued relation
+    changes factor only at a glued point.  A strand's middle point lies
+    in p alone, so transitivity of p removes it from any chain, and
+    closing through the body's sources alone,
+    ``range(n + left, n + mid - right)``, is enough.
     """
-    size = n + mid + k
-    rows = list(p_rows) + [0] * k
+    a, b = mid - left - right, k - left - right
+    # the body's sources sit at body..tail-1, its targets from cut on
+    body, tail, cut = n + left, n + left + a, n + mid
+    low = (1 << a) - 1
+    rows = list(p_rows) + [0] * b
     for j, row in enumerate(q_rows):
-        rows[n + j] |= row << n
-    rows = _closed(rows, range(size) if vias is None else vias)
-    low = (1 << n) - 1
-    cut = n + mid
+        glued = (row & low) << body | row >> a << cut
+        rows[body + j if j < a else cut + j - a] |= glued
+    rows = _closed(rows, range(cut + b) if vias is None else vias)
+    head, strands = (1 << body) - 1, (1 << right) - 1
     return [
-        (rows[i] & low) | (rows[i] >> cut << n)
-        for i in (*range(n), *range(cut, size))
+        row & head | row >> cut << body | (row >> tail & strands) << (body + b)
+        for row in rows[:body] + rows[cut:] + rows[tail:cut]
     ]
 
 

@@ -14,9 +14,15 @@ Inside the evaluator a value is a triple `(n, m, rows)` of bit rows.
 On the split side there is one row per point of the flat n + m points
 (sources, then targets: the indexing `EtaNF` uses), holding that
 point's successors.  On the RB side there is one row per source,
-holding its targets.  Every intermediate split value is a preorder,
-so a split composition closes only through the middle band
-(`compose_rows`).
+holding its targets.  A composition whose after factor is a padding
+`Pad(left, body, right)` composes with `body`'s value under the padding,
+and the padded rows are never built; any other after factor is its own
+body, with no padding, and a padding on its own is the after factor of
+an identity.  A padding strand is an identity, which only renames a
+point, and every intermediate split value is a preorder, so a split
+composition closes only through the body's source points
+(`compose_rows`).  On the RB side the strands' bits shift into place and
+only the body's source bits are looked up.
 `equal` compares rows; `SplitRelation` and `BinRel`, with their pair
 views, are built once per call, by `eval_term` and `eval_strict`.
 Each public call evaluates through a memo of its own, keyed on the
@@ -93,10 +99,11 @@ def resolve_category(
     return resolved
 
 
-def _check_middle(before: Rows, after: Rows) -> None:
-    # the typing error `type_of` raises for the same composition
-    if before[1] != after[0]:
-        before_t, after_t = TermType(*before[:2]), TermType(*after[:2])
+def _check_middle(before: Rows, left: int, body: Rows, right: int) -> None:
+    # the error `type_of` raises for composing with Pad(left, body, right)
+    if before[1] != left + body[0] + right:
+        before_t = TermType(*before[:2])
+        after_t = TermType(left + body[0] + right, left + body[1] + right)
         raise TermTypeError(
             f"cannot compose {before_t} with {after_t}: "
             f"{before_t.tgt} != {after_t.src}"
@@ -117,46 +124,19 @@ _SPLIT_LEAVES: dict[ArrowTerm, tuple[int, int, tuple[int, ...]]] = {
 
 def _split_leaf(t: ArrowTerm) -> Rows:
     if isinstance(t, Id):
-        return _split_pad((0, 0, []), t.n, 0)
+        return t.n, t.n, [1 << i | 1 << (t.n + i) for i in range(t.n)] * 2
     if t not in _SPLIT_LEAVES:
         raise TermTypeError(f"not a split-preorder generator: {t!r}")
     n, m, rows = _SPLIT_LEAVES[t]
     return n, m, list(rows)
 
 
-def _split_pad(value: Rows, left: int, right: int) -> Rows:
-    n, m, rows = value
-    width_n, width_m = left + n + right, left + m + right
-    low = (1 << n) - 1
-
-    def strand(i: int, j: int) -> int:
-        # double link between source i and target j
-        return 1 << i | 1 << (width_n + j)
-
-    def shift(row: int) -> int:
-        return (row & low) << left | row >> n << (width_n + left)
-
-    lefts = [strand(k, k) for k in range(left)]
-    rights = [strand(left + n + k, left + m + k) for k in range(right)]
-    return (
-        width_n,
-        width_m,
-        [
-            *lefts,
-            *map(shift, rows[:n]),
-            *rights,
-            *lefts,
-            *map(shift, rows[n:]),
-            *rights,
-        ],
-    )
-
-
-def _split_comp(before: Rows, after: Rows) -> Rows:
-    _check_middle(before, after)
+def _split_then_padded(before: Rows, left: int, body: Rows, right: int) -> Rows:
     n, mid, p_rows = before
-    _, k, q_rows = after
-    return n, k, compose_rows(n, mid, k, p_rows, q_rows, range(n, n + mid))
+    a, b, q_rows = body
+    k = left + b + right
+    vias = range(n + left, n + left + a)
+    return n, k, compose_rows(n, mid, k, p_rows, q_rows, vias, left, right)
 
 
 # Relational values: one row of target bits per source.
@@ -178,39 +158,28 @@ def _rel_leaf(t: ArrowTerm) -> Rows:
             raise TermTypeError(f"not a relational generator: {t!r}")
 
 
-def _rel_pad(value: Rows, left: int, right: int) -> Rows:
-    n, m, rows = value
-    return (
-        left + n + right,
-        left + m + right,
-        [
-            *(1 << k for k in range(left)),
-            *(row << left for row in rows),
-            *(1 << (left + m + k) for k in range(right)),
-        ],
-    )
-
-
-def _rel_comp(before: Rows, after: Rows) -> Rows:
-    _check_middle(before, after)
+def _rel_then_padded(before: Rows, left: int, body: Rows, right: int) -> Rows:
+    # strand bits shift into place; only the body's source bits are looked up
     n, _, r_rows = before
-    _, k, s_rows = after
+    a, b, s_rows = body
+    head, tail = (1 << left) - 1, left + a
+    shifted = [s_row << left for s_row in s_rows]
     composed = []
     for row in r_rows:
-        out = 0
-        for j, s_row in enumerate(s_rows):
+        out = row & head | row >> tail << (left + b)
+        for j, s_row in enumerate(shifted, left):
             if row >> j & 1:
                 out |= s_row
         composed.append(out)
-    return n, k, composed
+    return n, left + b + right, composed
 
 
-# (leaf, pad, comp) of each reading
-_SPLIT_MODEL = (_split_leaf, _split_pad, _split_comp)
+# (leaf, composition with a padding) of each reading
+_SPLIT_MODEL = (_split_leaf, _split_then_padded)
 _MODELS = {
     Category.PF: _SPLIT_MODEL,
     Category.EF: _SPLIT_MODEL,
-    Category.RB: (_rel_leaf, _rel_pad, _rel_comp),
+    Category.RB: (_rel_leaf, _rel_then_padded),
 }
 
 
@@ -225,25 +194,34 @@ def _rows(t: ArrowTerm, category: Category, memo: dict) -> Rows:
 
 
 def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
-    # A key is a leaf itself, `(left, body slot, right)` for a padding or
-    # `(after slot, before slot)` for a composition; the slot of a key is
-    # its entry's position in `memo`.  Equal subterms get equal keys, and
-    # no key hashes more than one tree level.
+    # A key is a leaf itself, or `(left, body slot, right, before slot)`
+    # for a composition whose after factor is `Pad(left, body, right)`;
+    # any other after factor is the body, with left = right = 0, and a
+    # padding on its own is the after factor of an identity.  A padding
+    # strand only renames a point, so padded rows are never built.  The
+    # slot of a key is its entry's position in `memo`.  Equal subterms get
+    # equal keys, and no key hashes more than one tree level.
     if isinstance(t, Comp):
         before_slot, before_value = _walk(t.before, model, memo)
-        after_slot, after_value = _walk(t.after, model, memo)
-        key: object = (after_slot, before_slot)
-        if key not in memo:
-            memo[key] = (len(memo), model[2](before_value, after_value))
+        after = t.after
     elif isinstance(t, Pad):
-        body_slot, body_value = _walk(t.body, model, memo)
-        key = (t.left, body_slot, t.right)
-        if key not in memo:
-            memo[key] = (len(memo), model[1](body_value, t.left, t.right))
+        before_slot, after = None, t
     else:
-        key = t
-        if key not in memo:
-            memo[key] = (len(memo), model[0](t))
+        if t not in memo:
+            memo[t] = (len(memo), model[0](t))
+        return memo[t]
+    body, left, right = after, 0, 0
+    if isinstance(after, Pad):
+        body, left, right = after.body, after.left, after.right
+    body_slot, body_value = _walk(body, model, memo)
+    if before_slot is None:
+        identity = Id(left + body_value[0] + right)
+        before_slot, before_value = _walk(identity, model, memo)
+    key = (left, body_slot, right, before_slot)
+    if key not in memo:
+        _check_middle(before_value, left, body_value, right)
+        value = model[1](before_value, left, body_value, right)
+        memo[key] = (len(memo), value)
     return memo[key]
 
 

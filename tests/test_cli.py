@@ -111,6 +111,31 @@ def test_negative_sizes_are_rejected(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--max-depth", "--max-pad", "--max-arity"])
+def test_fuzz_rejects_negative_limits_and_accepts_zero(option, capsys):
+    argv = ["fuzz", "--count", "5", "--category"]
+    assert main([*argv, "RB", option, "-1"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"precondition failed: {option} must be non-negative, got -1\n"
+    )
+    for category in ("PF", "EF", "RB"):
+        assert main([*argv, category, option, "0"]) == 0, category
+        assert capsys.readouterr().out.endswith("ok\n")
+
+
+def test_unreadable_source_file_is_a_precondition(tmp_path, capsys):
+    for path in (tmp_path / "missing.term", tmp_path):
+        assert main(["eval", f"@{path}"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"precondition failed: cannot read {path}: "
+        )
+        assert captured.err.count("\n") == 1
+
+
 def test_unexpected_exception_has_its_own_exit_code(capsys, monkeypatch):
     def crash(*_args, **_kwargs):
         raise RuntimeError("boom")

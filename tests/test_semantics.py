@@ -490,3 +490,131 @@ def test_neutral_terms_keep_their_reading_across_categories():
             assert rel == BinRel(2, 2, {(0, 0), (1, 1)})
             assert equal(t, Id(2), category)
             assert equal(t, Id(2), Category.RB)
+
+
+# ------------------------------------------------------------------ wide padded chains
+
+# Each factor of these chains is the after factor of a composition with a
+# padding, the shape the benchmark's `wide` workload and the parser's
+# "g . f . ..." nesting produce.
+
+
+def _rel_oracle(t):
+    # plain pair sets, composed pair by pair
+    match t:
+        case Id(n):
+            return BinRel(n, n, {(i, i) for i in range(n)})
+        case NablaK(k):
+            return BinRel(2 * k, k, {(i, i % k) for i in range(2 * k)})
+        case DeltaK(k):
+            return BinRel(k, 2 * k, {(i % k, i) for i in range(2 * k)})
+        case Pad(left, body, right):
+            inner = _rel_oracle(body)
+            pairs = {(i + left, j + left) for i, j in inner.pairs}
+            pairs |= {(i, i) for i in range(left)}
+            pairs |= {(left + inner.n + i, left + inner.m + i) for i in range(right)}
+            return BinRel(left + inner.n + right, left + inner.m + right, pairs)
+        case Comp(after, before):
+            r, s = _rel_oracle(before), _rel_oracle(after)
+            pairs = {(i, k) for i, j in r.pairs for j2, k in s.pairs if j == j2}
+            return BinRel(r.n, s.m, pairs)
+    raise AssertionError(f"no oracle for {t!r}")
+
+
+def _chain(factors):
+    # factors in application order, nested the way the parser nests them
+    term = factors[0]
+    for factor in factors[1:]:
+        term = Comp(factor, term)
+    return term
+
+
+def _regrouped(factors):
+    # the same chain grouped from the other end: no after factor of the
+    # outer compositions is a padding
+    term = factors[-1]
+    for factor in reversed(factors[:-1]):
+        term = Comp(term, factor)
+    return term
+
+
+def _split_chain(rng, bridge, width, length):
+    factors = []
+    for _ in range(length):
+        left = rng.randint(0, width - 2)
+        gen = rng.choice([Swap(), bridge])
+        factors.append(Pad(left, gen, width - 2 - left))
+    at = rng.randint(1, length - 1)
+    k = rng.randint(0, width - 3)
+    # a padding around a composite, an identity padding, Pad(0, X, 0)
+    factors[at:at] = [
+        Pad(k, Comp(Pad(1, bridge, 0), Pad(0, Swap(), 1)), width - 3 - k),
+        Pad(k, Id(2), width - 2 - k),
+        Pad(0, factors[at], 0),
+    ]
+    return factors
+
+
+def _rb_chain(rng, width, length):
+    # folds and co-folds within 3 strands of `width`, ending at `width`
+    factors, cur = [], width
+    for steps_left in range(length, 0, -1):
+        if abs(cur - width) >= steps_left:
+            grow = cur < width
+        else:
+            grow = cur < width + 3 and (cur <= width - 3 or rng.random() < 0.5)
+        if grow:
+            left = rng.randint(0, cur - 1)
+            factors.append(Pad(left, DeltaK(1), cur - 1 - left))
+            cur += 1
+        else:
+            left = rng.randint(0, cur - 2)
+            factors.append(Pad(left, NablaK(1), cur - 2 - left))
+            cur -= 1
+    k = rng.randint(0, width - 2)
+    fold = Comp(Pad(k, NablaK(1), width - 1 - k), Pad(k, DeltaK(1), width - 1 - k))
+    return factors + [
+        Pad(k, Comp(NablaK(1), DeltaK(1)), width - 1 - k),
+        Pad(k, Id(2), width - 2 - k),
+        Pad(0, fold, 0),
+    ]
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_wide_padded_chains_agree_with_oracles(width):
+    rng = random.Random(59 + width)
+    for category, bridge in ((Category.PF, H()), (Category.EF, HBar())):
+        memo = {}
+        for _ in range(2):
+            factors = _split_chain(rng, bridge, width, 12)
+            t = _chain(factors)
+            value = _eval_split(t, memo)
+            assert eval_term(t, category) == value, factors
+            assert equal(t, _regrouped(factors), category)
+            other = _chain(_split_chain(rng, bridge, width, 12))
+            assert equal(t, other, category) == (value == _eval_split(other, memo))
+    for _ in range(3):
+        factors = _rb_chain(rng, width, 16)
+        t, u = _chain(factors), _chain(_rb_chain(rng, width, 16))
+        assert eval_term(t, Category.RB) == _rel_oracle(t), t
+        assert equal(t, _regrouped(factors), Category.RB)
+        assert equal(t, u, Category.RB) == (_rel_oracle(t) == _rel_oracle(u))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Comp(Pad(1, H(), 0), Id(2)),
+        Comp(Pad(0, Swap(), 2), Comp(Pad(1, HBar(), 0), Id(3))),
+        Comp(Pad(2, NablaK(1), 1), Pad(1, DeltaK(1), 0)),
+    ],
+)
+def test_ill_typed_composition_with_a_padding_raises_as_type_of(bad):
+    with pytest.raises(TermTypeError) as typed:
+        type_of(bad)
+    with pytest.raises(TermTypeError) as evaluated:
+        eval_term(bad)
+    assert str(evaluated.value) == str(typed.value)
+    with pytest.raises(TermTypeError) as compared:
+        equal(bad, bad)
+    assert str(compared.value) == str(typed.value)

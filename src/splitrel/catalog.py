@@ -301,12 +301,13 @@ def _pick(pool: Sequence[ArrowTerm], i: int) -> ArrowTerm:
 # families shared between categories
 
 
-def _core_family(
+def _pool_family(
     category: Category,
     pool: tuple[ArrowTerm, ...],
     gens: tuple[ArrowTerm, ...],
 ) -> list[Axiom]:
-    """Identity, padding-slide and plain symmetry equations."""
+    """Identity laws over a pool of sample arrows, and the padding slide
+    of every pair of generators."""
 
     def cat_left(i: int) -> _Pair:
         f = _pick(pool, i)
@@ -335,6 +336,12 @@ def _core_family(
                ranges=_pool_ranges(pool), padded=False),
         _axiom("fl", category, ("xi", "theta", "r"), slide,
                ranges=slide_ranges, padded=False),
+    ]
+
+
+def _core_family(category: Category) -> list[Axiom]:
+    """Plain symmetry equations of the split signatures."""
+    return [
         _axiom("tau-tau", category, (),
                lambda: (Comp(Swap(), Swap()), Id(2))),
         _axiom("tau-yb", category, (), lambda: (
@@ -625,7 +632,7 @@ _PF_GENS: tuple[ArrowTerm, ...] = (Unit(), Counit(), Swap(), H())
 
 def _pf_axioms() -> list[Axiom]:
     pf = Category.PF
-    axioms = _core_family(pf, _PF_POOL, _PF_GENS)
+    axioms = _pool_family(pf, _PF_POOL, _PF_GENS) + _core_family(pf)
     axioms += [
         _axiom("h-idemp", pf, (), lambda: (Comp(H(), H()), H())),
         _axiom("h-yb", pf, (), lambda: (
@@ -802,7 +809,7 @@ _EF_GENS: tuple[ArrowTerm, ...] = (Unit(), Counit(), Swap(), HBar())
 
 def _ef_axioms() -> list[Axiom]:
     ef = Category.EF
-    axioms = _core_family(ef, _EF_POOL, _EF_GENS)
+    axioms = _pool_family(ef, _EF_POOL, _EF_GENS) + _core_family(ef)
     axioms += [
         _axiom("hbar-idemp", ef, (), lambda: (Comp(HBar(), HBar()), HBar())),
         _axiom("hbar-yb", ef, (), lambda: (
@@ -913,26 +920,6 @@ def _rb_axioms() -> list[Axiom]:
     rb = Category.RB
     pool = _RB_POOL
 
-    def cat_left(i: int) -> _Pair:
-        f = _pick(pool, i)
-        return Comp(Id(type_of(f).tgt), f), f
-
-    def cat_right(i: int) -> _Pair:
-        f = _pick(pool, i)
-        return Comp(f, Id(type_of(f).src)), f
-
-    def slide(a: int, b: int, r: int) -> _Pair:
-        xi, theta = _pick(_RB_GENS, a), _pick(_RB_GENS, b)
-        p, q = type_of(xi)
-        k, l = type_of(theta)
-        lhs = _chain([pad(0, xi, r + k), pad(q + r, theta, 0)], p + r + k)
-        rhs = _chain([pad(p + r, theta, 0), pad(0, xi, r + l)], p + r + k)
-        return lhs, rhs
-
-    def slide_ranges(max_param: int) -> Iterator[tuple[int, ...]]:
-        count = len(_RB_GENS)
-        return itertools.product(range(count), range(count), range(max_param + 1))
-
     def nabla_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = type_of(f)
@@ -1031,13 +1018,7 @@ def _rb_axioms() -> list[Axiom]:
                         for l in range(r):
                             yield (k, l, p, q, r)
 
-    return [
-        _axiom("cat-1-left", rb, ("f",), cat_left,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("cat-1-right", rb, ("f",), cat_right,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("fl", rb, ("xi", "theta", "r"), slide,
-               ranges=slide_ranges, padded=False),
+    return _pool_family(rb, pool, _RB_GENS) + [
         _axiom("nabla-nat", rb, ("f",), nabla_nat,
                ranges=_pool_ranges(pool), padded=False),
         _axiom("delta-nat", rb, ("f",), delta_nat,

@@ -1,7 +1,11 @@
 """Batch command line: evaluate, compare, normalize, check, separate, render, fuzz.
 
 Term and value arguments are read literally, from a file when prefixed
-with ``@``, or from stdin when given as ``-``.  Exit codes: 0 success,
+with ``@``, or from stdin when given as ``-``.  A command parses and
+evaluates all of its terms in one signature: ``--category`` when given,
+else the one its texts pin through a ``%category`` header or an atom
+that forces one (two different pins are a signature error), else PF.
+Exit codes: 0 success,
 1 a checked property failed (eq found the terms different, or a report
 contains failures), 2 input could not be parsed, 3 a term is ill-typed
 or in the wrong signature, 4 a precondition was violated (eq on terms
@@ -19,14 +23,14 @@ import sys
 from pathlib import Path
 
 from splitrel.catalog import axiom_catalog, check_axiom
-from splitrel.dsl import ParseError, parse, print_term
+from splitrel.dsl import ParseError, parse, pinned_category, print_term
 from splitrel.fuzz import fuzz_report
 from splitrel.maximality import separate
 from splitrel.normalform import NORMAL_FORMS
 from splitrel.relations import BinRel, SplitRelation
 from splitrel.render import ascii_picture, dot_graph, text_listing
-from splitrel.semantics import equal, eval_term, resolve_category
-from splitrel.terms import Category, TermTypeError, type_of
+from splitrel.semantics import equal, eval_term
+from splitrel.terms import ArrowTerm, Category, TermTypeError, type_of
 
 EXIT_OK = 0
 EXIT_DIFFER = 1
@@ -58,23 +62,39 @@ def _category(args: argparse.Namespace) -> Category | None:
     return None if args.category is None else Category[args.category]
 
 
+def _parse_terms(
+    args: argparse.Namespace, *sources: str
+) -> tuple[list[ArrowTerm], Category]:
+    """Read and parse `sources` in the one signature the command works in.
+
+    A text that pins another signature is parsed in its own, so that a
+    parse error is reported before the mismatch.
+    """
+    texts = [_read_source(source) for source in sources]
+    override = _category(args)
+    pins = [override or pinned_category(text) for text in texts]
+    category = next(filter(None, pins), Category.PF)
+    terms = [parse(text, pin or category) for text, pin in zip(texts, pins)]
+    for pin in filter(None, pins):
+        if pin is not category:
+            raise TermTypeError(
+                f"category mismatch: {category.value} vs {pin.value}"
+            )
+    return terms, category
+
+
 def _dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    override = _category(args)
-    term = parse(_read_source(args.term), override)
-    category = resolve_category(term, category=override)
+    (term,), category = _parse_terms(args, args.term)
     print(_VALUE_FORMATS[args.format](eval_term(term, category)))
     return EXIT_OK
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
-    override = _category(args)
-    f = parse(_read_source(args.lhs), override)
-    g = parse(_read_source(args.rhs), override)
-    category = resolve_category(f, g, category=override)
+    (f, g), category = _parse_terms(args, args.lhs, args.rhs)
     f_type, g_type = type_of(f), type_of(g)
     if f_type != g_type:
         print(f"cannot compare: {f_type} vs {g_type}", file=sys.stderr)
@@ -96,9 +116,7 @@ def cmd_eq(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    override = _category(args)
-    term = parse(_read_source(args.term), override)
-    category = resolve_category(term, category=override)
+    (term,), category = _parse_terms(args, args.term)
     kind, to_nf, from_nf = NORMAL_FORMS[category]
     payload = to_nf(term)
     canonical = print_term(from_nf(payload))
@@ -150,10 +168,7 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_separate(args: argparse.Namespace) -> int:
-    override = _category(args)
-    f = parse(_read_source(args.lhs), override)
-    g = parse(_read_source(args.rhs), override)
-    category = resolve_category(f, g, category=override)
+    (f, g), category = _parse_terms(args, args.lhs, args.rhs)
     witness = separate(f, g, category)
     if args.format == "json":
         print(witness.to_json())

@@ -20,11 +20,18 @@ bridge), and purely neutral text defaults to PF.
 Shared atoms are reinterpreted per signature: in RB files `unit`,
 `counit` and `swap` stand for the one-point insertion, deletion and
 the derived transposition.
+
+Each atom is one entry of `_ATOMS`: its argument shape, the signature
+it forces (None for a neutral atom) and its builder.  Both the
+inference above and the check that rejects an atom outside the
+signature in force read that entry; an atom forcing EF is allowed in
+PF.  `pinned_category` returns the signature a text pins through its
+header or its atoms, None when nothing is pinned.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from splitrel.terms import (
     ArrowTerm,
@@ -53,6 +60,8 @@ from splitrel.terms import (
     zero_term,
 )
 
+PF, EF, RB = Category.PF, Category.EF, Category.RB
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -63,23 +72,42 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, NAT, DOT, COMMA, SEMI, LP, RP, EOF
+class _Token(NamedTuple):
+    kind: str  # NAT, NAME, EOF, or the punctuation character itself
     text: str
     pos: int
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)|(?P<NAT>\d+)|(?P<NAME>[a-z]+)|(?P<DOT>\.)"
-    r"|(?P<COMMA>,)|(?P<SEMI>;)|(?P<LP>\()|(?P<RP>\))"
+    r"(?P<WS>\s+)|(?P<NAT>\d+)|(?P<NAME>[a-z]+)|(?P<PUNCT>[.,;()])|(?P<BAD>.)"
 )
 
 _DIRECTIVE_RE = re.compile(r"%category\s+(PF|EF|RB)\s*$")
 
-_RB_ATOMS = {"nabla", "delta", "unitk", "counitk", "iota", "union"}
-_PF_ATOMS = {"h", "eta"}
-_EF_ATOMS = {"hbar", "etabar"}
+# name -> (argument shape, signature forced or None, builder).  In a shape
+# `n` is a number, `t` a term, and `,`/`;` a separator.
+_ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm]]] = {
+    "id": ("n", None, lambda cat, n: Id(n)),
+    "unit": ("", None, lambda cat: UnitK(1) if cat is RB else Unit()),
+    "counit": ("", None, lambda cat: CounitK(1) if cat is RB else Counit()),
+    "swap": ("", None, lambda cat: tau_rb() if cat is RB else Swap()),
+    "h": ("", PF, lambda cat: H()),
+    "hbar": ("", EF, lambda cat: hbar_in_pf() if cat is PF else HBar()),
+    "nabla": ("n", RB, lambda cat, k: NablaK(k)),
+    "delta": ("n", RB, lambda cat, k: DeltaK(k)),
+    "unitk": ("n", RB, lambda cat, k: UnitK(k)),
+    "counitk": ("n", RB, lambda cat, k: CounitK(k)),
+    "pad": ("n,t,n", None, lambda cat, left, t, right: pad(left, t, right)),
+    "plus": ("t,t", None, lambda cat, f, g: plus(f, g)),
+    "eta": ("n,n,n", PF, lambda cat, i, j, n: eta_term(i, j, n)),
+    "etabar": ("n,n,n", EF, lambda cat, i, j, n: (
+        Comp(eta_term(i, j, n), eta_term(j, i, n)) if cat is PF
+        else etabar_term(i, j, n)
+    )),
+    "iota": ("n,n;n,n", RB, lambda cat, i, j, n, m: iota_term(i, j, n, m)),
+    "zero": ("n,n", None, lambda cat, n, m: zero_term(n, m, cat)),
+    "union": ("t,t", RB, lambda cat, f, g: union_term(f, g)),
+}
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -116,45 +144,31 @@ def _extract_header(text: str) -> tuple[str, Category | None]:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            line, col = _line_col(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        pos = m.end()
-        kind = m.lastgroup
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "BAD":
+            line, col = _line_col(text, m.start())
+            raise ParseError(f"unexpected character {word!r}", line, col)
         if kind != "WS":
-            tokens.append(_Token(kind, m.group(), m.start()))
+            tokens.append(_Token(word if kind == "PUNCT" else kind, word, m.start()))
     tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
-def _resolve_category(
-    tokens: list[_Token],
-    declared: Category | None,
-    text: str,
-) -> Category:
-    names = {t.text for t in tokens if t.kind == "NAME"}
-    wants_rb = names & _RB_ATOMS
-    wants_pf = names & _PF_ATOMS
-    wants_ef = names & _EF_ATOMS
-    if declared is not None:
-        return declared
-    if wants_rb:
-        if wants_pf or wants_ef:
-            bad = sorted(wants_pf | wants_ef)[0]
-            tok = next(t for t in tokens if t.text == bad)
-            line, col = _line_col(text, tok.pos)
+def _resolve_category(tokens: list[_Token], text: str) -> Category | None:
+    names = sorted({t.text for t in tokens if t.kind == "NAME"} & _ATOMS.keys())
+    forced = [_ATOMS[name][1] for name in names]
+    if RB in forced:
+        split = [name for name, f in zip(names, forced) if f in (PF, EF)]
+        if split:
+            token = next(t for t in tokens if t.text == split[0])
+            line, col = _line_col(text, token.pos)
             raise ParseError(
-                f"{bad!r} cannot appear in a relational term", line, col
+                f"{split[0]!r} cannot appear in a relational term", line, col
             )
-        return Category.RB
-    if wants_pf:
-        return Category.PF
-    if wants_ef:
-        return Category.EF
-    return Category.PF
+        return RB
+    # an EF atom expands through `h` in PF, so PF wins
+    return PF if PF in forced else EF if EF in forced else None
 
 
 class _Parser:
@@ -177,18 +191,16 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str) -> _Token:
         token = self.peek()
         if token.kind != kind:
+            what = "a number" if kind == "NAT" else repr(kind)
             raise self.error(f"expected {what}, found {token.text or 'end of input'!r}")
         return self.advance()
 
-    def nat(self) -> int:
-        return int(self.expect("NAT", "a number").text)
-
     def term(self) -> ArrowTerm:
         factors = [self.atom()]
-        while self.peek().kind == "DOT":
+        while self.peek().kind == ".":
             self.advance()
             factors.append(self.atom())
         result = factors[-1]
@@ -197,126 +209,61 @@ class _Parser:
         return result
 
     def atom(self) -> ArrowTerm:
-        token = self.peek()
-        if token.kind == "LP":
-            self.advance()
+        token = self.advance()
+        if token.kind == "(":
             inner = self.term()
-            self.expect("RP", "')'")
+            self.expect(")")
             return inner
         if token.kind != "NAME":
             raise self.error(
-                f"expected a term, found {token.text or 'end of input'!r}"
+                f"expected a term, found {token.text or 'end of input'!r}", token
             )
-        self.advance()
+        if token.text not in _ATOMS:
+            raise self.error(f"unknown atom {token.text!r}", token)
+        shape, forces, build = _ATOMS[token.text]
+        cat = self.category
+        # an atom forcing EF is allowed in PF, where it expands through `h`
+        if forces not in (None, cat) and (forces, cat) != (EF, PF):
+            raise self.error(f"{token.text!r} is not a {cat.value} generator", token)
         try:
-            return self.named_atom(token)
+            return build(cat, *self.args(shape))
         except ParseError:
             raise
         except ValueError as exc:
             raise self.error(str(exc), token) from exc
 
-    def args(self, count: int) -> list[int]:
-        self.expect("LP", "'('")
-        values = [self.nat()]
-        for _ in range(count - 1):
-            self.expect("COMMA", "','")
-            values.append(self.nat())
-        self.expect("RP", "')'")
+    def args(self, shape: str) -> list:
+        if not shape:
+            return []
+        self.expect("(")
+        values: list = []
+        for part in shape:
+            if part == "n":
+                values.append(int(self.expect("NAT").text))
+            elif part == "t":
+                values.append(self.term())
+            else:
+                self.expect(part)
+        self.expect(")")
         return values
 
-    def named_atom(self, token: _Token) -> ArrowTerm:
-        name = token.text
-        cat = self.category
-        if name == "id":
-            (n,) = self.args(1)
-            return Id(n)
-        if name == "unit":
-            return UnitK(1) if cat is Category.RB else Unit()
-        if name == "counit":
-            return CounitK(1) if cat is Category.RB else Counit()
-        if name == "swap":
-            return tau_rb() if cat is Category.RB else Swap()
-        if name == "h":
-            if cat is not Category.PF:
-                raise self.error(
-                    f"'h' is not a {cat.value} generator", token
-                )
-            return H()
-        if name == "hbar":
-            if cat is Category.RB:
-                raise self.error("'hbar' is not a RB generator", token)
-            return hbar_in_pf() if cat is Category.PF else HBar()
-        if name in ("nabla", "delta", "unitk", "counitk"):
-            if cat is not Category.RB:
-                raise self.error(
-                    f"{name!r} is not a {cat.value} generator", token
-                )
-            (k,) = self.args(1)
-            leaf = {
-                "nabla": NablaK,
-                "delta": DeltaK,
-                "unitk": UnitK,
-                "counitk": CounitK,
-            }[name]
-            return leaf(k)
-        if name == "pad":
-            self.expect("LP", "'('")
-            left = self.nat()
-            self.expect("COMMA", "','")
-            body = self.term()
-            self.expect("COMMA", "','")
-            right = self.nat()
-            self.expect("RP", "')'")
-            return pad(left, body, right)
-        if name == "plus":
-            self.expect("LP", "'('")
-            f = self.term()
-            self.expect("COMMA", "','")
-            g = self.term()
-            self.expect("RP", "')'")
-            return plus(f, g)
-        if name == "eta":
-            if cat is not Category.PF:
-                raise self.error(f"'eta' is not a {cat.value} generator", token)
-            i, j, n = self.args(3)
-            return eta_term(i, j, n)
-        if name == "etabar":
-            if cat is Category.RB:
-                raise self.error("'etabar' is not a RB generator", token)
-            i, j, n = self.args(3)
-            if cat is Category.PF:
-                return Comp(eta_term(i, j, n), eta_term(j, i, n))
-            return etabar_term(i, j, n)
-        if name == "iota":
-            if cat is not Category.RB:
-                raise self.error(
-                    f"'iota' is not a {cat.value} generator", token
-                )
-            self.expect("LP", "'('")
-            i = self.nat()
-            self.expect("COMMA", "','")
-            j = self.nat()
-            self.expect("SEMI", "';'")
-            n = self.nat()
-            self.expect("COMMA", "','")
-            m = self.nat()
-            self.expect("RP", "')'")
-            return iota_term(i, j, n, m)
-        if name == "zero":
-            n, m = self.args(2)
-            return zero_term(n, m, cat)
-        if name == "union":
-            if cat is not Category.RB:
-                raise self.error(
-                    f"'union' is not a {cat.value} generator", token
-                )
-            self.expect("LP", "'('")
-            f = self.term()
-            self.expect("COMMA", "','")
-            g = self.term()
-            self.expect("RP", "')'")
-            return union_term(f, g)
-        raise self.error(f"unknown atom {name!r}", token)
+
+def _scan(
+    text: str, declared: Category | None
+) -> tuple[str, list[_Token], Category | None]:
+    body, header = _extract_header(text)
+    tokens = _tokenize(body)
+    if tokens[0].kind == "EOF":
+        raise ParseError("empty input")
+    return body, tokens, declared or header or _resolve_category(tokens, body)
+
+
+def pinned_category(text: str) -> Category | None:
+    """The signature `text` pins by its header or by an atom forcing one.
+
+    None when nothing is pinned; `parse_with_category` then uses PF.
+    """
+    return _scan(text, None)[2]
 
 
 def parse_with_category(
@@ -332,18 +279,14 @@ def parse_with_category(
             category = Category[category.upper()]
         except KeyError:
             raise ParseError(f"unknown category {category!r}") from None
-    body, header = _extract_header(text)
-    tokens = _tokenize(body)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty input")
-    resolved = _resolve_category(tokens, category or header, body)
-    parser = _Parser(body, tokens, resolved)
+    body, tokens, pinned = _scan(text, category)
+    parser = _Parser(body, tokens, pinned or PF)
     term = parser.term()
     trailing = parser.peek()
     if trailing.kind != "EOF":
         raise parser.error(f"unexpected trailing input {trailing.text!r}")
     type_of(term)
-    return term, resolved
+    return term, parser.category
 
 
 def parse(text: str, category: Category | str | None = None) -> ArrowTerm:

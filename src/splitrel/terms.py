@@ -126,12 +126,6 @@ class CounitK(ArrowTerm):
     k: int
 
 
-_PF_ONLY = (H,)
-_EF_ONLY = (HBar,)
-_RB_ONLY = (NablaK, DeltaK, UnitK, CounitK)
-_SHARED_PF_EF = (Unit, Counit, Swap)
-
-
 def type_of(t: ArrowTerm) -> TermType:
     """Source and target widths, computed bottom-up."""
     match t:
@@ -202,8 +196,6 @@ def forced_category(t: ArrowTerm) -> Category | None:
         return Category.PF
     if "ef" in found:
         return Category.EF
-    if found and "pf-or-ef" in found:
-        return None
     return None
 
 

@@ -9,7 +9,13 @@ import sys
 import pytest
 
 from splitrel import cli
-from splitrel.cli import EXIT_DIFFER, EXIT_INTERNAL, EXIT_PRECONDITION, main
+from splitrel.cli import (
+    EXIT_DIFFER,
+    EXIT_INTERNAL,
+    EXIT_PRECONDITION,
+    EXIT_TYPE,
+    main,
+)
 from splitrel.dsl import parse, print_term
 from splitrel.fuzz import random_term
 from splitrel.terms import Category
@@ -184,6 +190,42 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert capsys.readouterr().out == (GOLDEN / "eq-h-id2.json").read_text()
     assert main(["eq", "h", "id(2)"]) == 1
     assert capsys.readouterr().out == "not equal\n"
+
+
+def test_eval_keeps_the_signature_an_atom_pins(capsys):
+    # iota(0,0;1,1) builds the neutral tree id(1), but iota pins RB
+    assert main(["eval", "iota(0,0;1,1)"]) == 0
+    assert capsys.readouterr().out == '{"n":1,"m":1,"pairs":[[0,0]]}\n'
+
+
+def test_header_signature_reaches_eval_and_normalize(tmp_path, capsys):
+    path = tmp_path / "rb.term"
+    path.write_text("%category RB\nid(2)")
+    assert main(["eval", f"@{path}"]) == 0
+    assert capsys.readouterr().out == '{"n":2,"m":2,"pairs":[[0,0],[1,1]]}\n'
+    assert main(["normalize", "--format", "json", f"@{path}"]) == 0
+    assert capsys.readouterr().out.startswith('{"kind":"iota","n":2,"m":2,')
+
+
+def test_eq_parses_both_texts_in_the_signature_they_pin(capsys):
+    assert main(["eq", "nabla(1) . delta(1)", "unit . counit"]) == EXIT_DIFFER
+    assert capsys.readouterr().out == "not equal\n"
+    assert main(["eq", "unit . counit", "unitk(1) . counitk(1)"]) == 0
+    assert capsys.readouterr().out == "equal\n"
+
+
+def test_different_pins_are_a_signature_error(capsys):
+    assert main(["eq", "hbar", "h"]) == EXIT_TYPE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "type error: category mismatch: EF vs PF\n"
+    )
+    # the flag wins over the pins
+    assert main(["eq", "--category", "PF", "hbar", "h"]) == EXIT_DIFFER
+    assert capsys.readouterr().out == "not equal\n"
+    # a text that cannot be parsed is a parse error, not a mismatch
+    assert main(["eq", "pad(1, h", "hbar"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_fuzz_is_deterministic_per_seed(capsys):

@@ -214,6 +214,48 @@ def test_error_position_on_later_line():
     assert exc.value.line == 3
 
 
+# text, category, exact message, line, column
+PARSE_ERRORS = [
+    ("h $", None, "unexpected character '$' (line 1, column 3)", 1, 3),
+    ("h\n  . @", None, "unexpected character '@' (line 2, column 5)", 2, 5),
+    ("foo(1)", None, "unknown atom 'foo' (line 1, column 1)", 1, 1),
+    ("id 1", None, "expected '(', found '1' (line 1, column 4)", 1, 4),
+    ("eta(0 1, 2)", None, "expected ',', found '1' (line 1, column 7)", 1, 7),
+    ("iota(0,0,1,1)", None, "expected ';', found ',' (line 1, column 9)", 1, 9),
+    ("id(1", None,
+     "expected ')', found 'end of input' (line 1, column 5)", 1, 5),
+    ("h .", None,
+     "expected a term, found 'end of input' (line 1, column 4)", 1, 4),
+    ("", None, "empty input", None, None),
+    ("pad(1, h 0)", None, "expected ',', found '0' (line 1, column 10)", 1, 10),
+    ("h h", None, "unexpected trailing input 'h' (line 1, column 3)", 1, 3),
+    ("%category EF\nh", None,
+     "'h' is not a EF generator (line 2, column 1)", 2, 1),
+    ("%category RB\nswap . eta(0,1,2)", None,
+     "'eta' is not a RB generator (line 2, column 8)", 2, 8),
+    ("nabla(1)", "PF", "'nabla' is not a PF generator (line 1, column 1)", 1, 1),
+    ("hbar", "RB", "'hbar' is not a RB generator (line 1, column 1)", 1, 1),
+    ("union(h . h, zero(2,2))", None,
+     "'h' cannot appear in a relational term (line 1, column 7)", 1, 7),
+    ("nabla(1) . hbar", None,
+     "'hbar' cannot appear in a relational term (line 1, column 12)", 1, 12),
+    ("iota(3,0;3,2)", None,
+     "pair (3,0) out of bounds for 3->2 (line 1, column 1)", 1, 1),
+    ("pad(1,\n  h,\n  x)", None,
+     "expected a number, found 'x' (line 3, column 3)", 3, 3),
+    ("h\n%category PF", None,
+     "header directive after term text (line 2, column 1)", 2, 1),
+    ("h", "XY", "unknown category 'XY'", None, None),
+]
+
+
+@pytest.mark.parametrize("text, category, message, line, col", PARSE_ERRORS)
+def test_parse_error_messages_are_pinned(text, category, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text, category)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
+
 # ------------------------------------------------------------------ printing
 
 

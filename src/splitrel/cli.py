@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from splitrel.catalog import axiom_catalog, check_axiom
-from splitrel.dsl import ParseError, parse, pinned_category, print_term
+from splitrel.dsl import ParseError, _parse_joined, print_term
 from splitrel.fuzz import fuzz_report
 from splitrel.maximality import separate
 from splitrel.normalform import NORMAL_FORMS
@@ -65,22 +65,8 @@ def _category(args: argparse.Namespace) -> Category | None:
 def _parse_terms(
     args: argparse.Namespace, *sources: str
 ) -> tuple[list[ArrowTerm], Category]:
-    """Read and parse `sources` in the one signature the command works in.
-
-    A text that pins another signature is parsed in its own, so that a
-    parse error is reported before the mismatch.
-    """
-    texts = [_read_source(source) for source in sources]
-    override = _category(args)
-    pins = [override or pinned_category(text) for text in texts]
-    category = next(filter(None, pins), Category.PF)
-    terms = [parse(text, pin or category) for text, pin in zip(texts, pins)]
-    for pin in filter(None, pins):
-        if pin is not category:
-            raise TermTypeError(
-                f"category mismatch: {category.value} vs {pin.value}"
-            )
-    return terms, category
+    """Read and parse `sources` in the one signature the command works in."""
+    return _parse_joined([_read_source(s) for s in sources], _category(args))
 
 
 def _dumps(obj: object) -> str:

@@ -25,8 +25,8 @@ Each atom is one entry of `_ATOMS`: its argument shape, the signature
 it forces (None for a neutral atom) and its builder.  Both the
 inference above and the check that rejects an atom outside the
 signature in force read that entry; an atom forcing EF is allowed in
-PF.  `pinned_category` returns the signature a text pins through its
-header or its atoms, None when nothing is pinned.
+PF.  A command parses all its texts in one signature through
+`_parse_joined`, which scans each text once.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from splitrel.terms import (
     NablaK,
     Pad,
     Swap,
+    TermTypeError,
     Unit,
     UnitK,
     eta_term,
@@ -258,12 +259,16 @@ def _scan(
     return body, tokens, declared or header or _resolve_category(tokens, body)
 
 
-def pinned_category(text: str) -> Category | None:
-    """The signature `text` pins by its header or by an atom forcing one.
-
-    None when nothing is pinned; `parse_with_category` then uses PF.
-    """
-    return _scan(text, None)[2]
+def _parse_scanned(
+    body: str, tokens: list[_Token], category: Category
+) -> ArrowTerm:
+    parser = _Parser(body, tokens, category)
+    term = parser.term()
+    trailing = parser.peek()
+    if trailing.kind != "EOF":
+        raise parser.error(f"unexpected trailing input {trailing.text!r}")
+    type_of(term)
+    return term
 
 
 def parse_with_category(
@@ -280,13 +285,31 @@ def parse_with_category(
         except KeyError:
             raise ParseError(f"unknown category {category!r}") from None
     body, tokens, pinned = _scan(text, category)
-    parser = _Parser(body, tokens, pinned or PF)
-    term = parser.term()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise parser.error(f"unexpected trailing input {trailing.text!r}")
-    type_of(term)
-    return term, parser.category
+    resolved = pinned or PF
+    return _parse_scanned(body, tokens, resolved), resolved
+
+
+def _parse_joined(
+    texts: list[str], category: Category | None
+) -> tuple[list[ArrowTerm], Category]:
+    """Parse `texts` in one signature: `category` when given, else the
+    first one a text pins through its header or an atom, else PF.
+
+    Every text is scanned once, and all are scanned before any is parsed.
+    A text pinning another signature is parsed in its own, so that a
+    parse error is reported before the mismatch.
+    """
+    scans = [_scan(text, category) for text in texts]
+    joined = next((pin for *_, pin in scans if pin), PF)
+    terms = [
+        _parse_scanned(body, tokens, pin or joined) for body, tokens, pin in scans
+    ]
+    for *_, pin in scans:
+        if pin and pin is not joined:
+            raise TermTypeError(
+                f"category mismatch: {joined.value} vs {pin.value}"
+            )
+    return terms, joined
 
 
 def parse(text: str, category: Category | str | None = None) -> ArrowTerm:

@@ -7,16 +7,24 @@ of type 1 -> 1 (when the differing pair crosses from source to target)
 or 2 -> 0 / 0 -> 2 (when it stays on one side).  Adding the equation
 v = w as an axiom therefore forces an equation between those small
 values, and from there every parallel pair of arrows collapses.
+
+Both terms and both composites evaluate to the evaluator's bit rows
+through one memo.  The pivot is the first flat row where the two values
+differ and the lowest bit of that row's difference.  Split rows list the
+sources before the targets, which is the order of `Node` pairs, so the
+pivot is the least pair on which the values disagree.  The `Node` view
+is built only for the pivot and the two results.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .dsl import print_term
-from .relations import SRC
-from .semantics import SemValue, eval_term
+from .relations import src, tgt
+from .semantics import Rows, SemValue, _boundary, _rows, resolve_category
 from .terms import (
     ArrowTerm,
     Category,
@@ -26,7 +34,6 @@ from .terms import (
     counit_power,
     pad,
     plus,
-    type_of,
     unit_power,
 )
 
@@ -76,75 +83,78 @@ class SeparationWitness:
 
 
 def _values(
-    v: ArrowTerm, w: ArrowTerm, category: Category
-) -> tuple[SemValue, SemValue]:
-    tv, tw = type_of(v), type_of(w)
-    if tv != tw:
+    v: ArrowTerm, w: ArrowTerm, category: Category, memo: dict
+) -> tuple[Rows, Rows]:
+    rows = []
+    for t in (v, w):
+        resolve_category(t, category=category)
+        rows.append(_rows(t, category, memo))
+    (vn, vm, _), (wn, wm, _) = rows
+    if (vn, vm) != (wn, wm):
         raise TermTypeError(
-            f"cannot separate terms of different types {tv.src}->{tv.tgt} "
-            f"and {tw.src}->{tw.tgt}"
+            f"cannot separate terms of different types {vn}->{vm} "
+            f"and {wn}->{wm}"
         )
-    gv = eval_term(v, category)
-    gw = eval_term(w, category)
-    if gv == gw:
+    if rows[0] == rows[1]:
         raise ValueError("the terms are equal; there is nothing to separate")
-    return gv, gw
+    return rows[0], rows[1]
 
 
-def _apply(
-    pre: ArrowTerm,
-    term: ArrowTerm,
-    post: ArrowTerm,
+def _route(
+    power: Callable[[int, Category], ArrowTerm],
+    a: int,
+    b: int,
+    size: int,
     category: Category,
-) -> SemValue:
-    composite = compose_chain([pre, term, post], type_of(pre).src)
-    return eval_term(composite, category)
+) -> ArrowTerm:
+    """Keep strands a <= b of `size` (one strand when a == b); `power`
+    (`unit_power` or `counit_power`) fills or deletes all the others."""
+    middle = Id(1) if a == b else pad(1, power(b - a - 1, category), 1)
+    return plus(
+        plus(power(a, category), middle), power(size - b - 1, category)
+    )
 
 
-def _witness(
-    category: Category,
-    pivot: tuple,
-    pre: ArrowTerm,
-    post: ArrowTerm,
-    v: ArrowTerm,
-    w: ArrowTerm,
+def separate(
+    v: ArrowTerm, w: ArrowTerm, category: Category
 ) -> SeparationWitness:
-    results = (_apply(pre, v, post, category), _apply(pre, w, post, category))
+    """Witness for two terms of the same type whose values in `category`
+    differ; `separate_pf`, `separate_ef` and `separate_rb` fix the
+    category."""
+    memo: dict = {}
+    (n, m, v_rows), (_, _, w_rows) = _values(v, w, category, memo)
+    # the first flat row where the values differ, and its lowest such bit
+    x, diff = next(
+        (x, a ^ b) for x, (a, b) in enumerate(zip(v_rows, w_rows)) if a != b
+    )
+    y = (diff & -diff).bit_length() - 1
+    if category is Category.RB:
+        pivot = (x, y)
+        y += n  # an RB row holds target bits
+    else:
+        nodes = [src(i) for i in range(n)] + [tgt(j) for j in range(m)]
+        pivot = (nodes[x], nodes[y])
+    a, b = sorted((x, y))
+    if a < n <= b:
+        pre = _route(unit_power, a, a, n, category)
+        post = _route(counit_power, b - n, b - n, m, category)
+        width = 1
+    elif b < n:
+        pre = _route(unit_power, a, b, n, category)
+        post = counit_power(m, category)
+        width = 2
+    else:
+        pre = unit_power(n, category)
+        post = _route(counit_power, a - n, b - n, m, category)
+        width = 0
+    results = tuple(
+        _boundary(
+            _rows(compose_chain([pre, t, post], width), category, memo),
+            category,
+        )
+        for t in (v, w)
+    )
     return SeparationWitness(category, pivot, pre, post, results)
-
-
-def _route_in(i: int, n: int, category: Category) -> ArrowTerm:
-    """1 -> n: land on strand i, all other strands fresh."""
-    return plus(
-        plus(unit_power(i, category), Id(1)),
-        unit_power(n - i - 1, category),
-    )
-
-
-def _route_out(j: int, m: int, category: Category) -> ArrowTerm:
-    """m -> 1: keep strand j, delete the rest."""
-    return plus(
-        plus(counit_power(j, category), Id(1)),
-        counit_power(m - j - 1, category),
-    )
-
-
-def _route_in_two(a: int, b: int, n: int, category: Category) -> ArrowTerm:
-    """2 -> n: land on strands a < b, all other strands fresh."""
-    middle = pad(1, unit_power(b - a - 1, category), 1)
-    return plus(
-        plus(unit_power(a, category), middle),
-        unit_power(n - b - 1, category),
-    )
-
-
-def _route_out_two(a: int, b: int, m: int, category: Category) -> ArrowTerm:
-    """m -> 2: keep strands a < b, delete the rest."""
-    middle = pad(1, counit_power(b - a - 1, category), 1)
-    return plus(
-        plus(counit_power(a, category), middle),
-        counit_power(m - b - 1, category),
-    )
 
 
 def separate_rb(v: ArrowTerm, w: ArrowTerm) -> SeparationWitness:
@@ -153,35 +163,7 @@ def separate_rb(v: ArrowTerm, w: ArrowTerm) -> SeparationWitness:
     The two results are always the identity relation on 1 and the empty
     relation on 1, in the order induced by which term holds the pivot.
     """
-    gv, gw = _values(v, w, Category.RB)
-    i, j = min(gv.pairs ^ gw.pairs)
-    n, m = type_of(v)
-    pre = _route_in(i, n, Category.RB)
-    post = _route_out(j, m, Category.RB)
-    return _witness(Category.RB, (i, j), pre, post, v, w)
-
-
-def _separate_split(
-    v: ArrowTerm, w: ArrowTerm, category: Category
-) -> SeparationWitness:
-    gv, gw = _values(v, w, category)
-    pivot = min(gv.pairs ^ gw.pairs)
-    x, y = pivot
-    n, m = type_of(v)
-    if x.tag != y.tag:
-        i = x.pos if x.tag == SRC else y.pos
-        j = y.pos if x.tag == SRC else x.pos
-        pre = _route_in(i, n, category)
-        post = _route_out(j, m, category)
-    elif x.tag == SRC:
-        a, b = sorted((x.pos, y.pos))
-        pre = _route_in_two(a, b, n, category)
-        post = counit_power(m, category)
-    else:
-        a, b = sorted((x.pos, y.pos))
-        pre = unit_power(n, category)
-        post = _route_out_two(a, b, m, category)
-    return _witness(category, pivot, pre, post, v, w)
+    return separate(v, w, Category.RB)
 
 
 def separate_ef(v: ArrowTerm, w: ArrowTerm) -> SeparationWitness:
@@ -192,7 +174,7 @@ def separate_ef(v: ArrowTerm, w: ArrowTerm) -> SeparationWitness:
     which merges the two routed points while the other keeps them
     apart.
     """
-    return _separate_split(v, w, Category.EF)
+    return separate(v, w, Category.EF)
 
 
 def separate_pf(v: ArrowTerm, w: ArrowTerm) -> SeparationWitness:
@@ -202,15 +184,4 @@ def separate_pf(v: ArrowTerm, w: ArrowTerm) -> SeparationWitness:
     downward from the upward link; the 1 -> 1 results land in the four
     element family (discrete, down only, up only, both).
     """
-    return _separate_split(v, w, Category.PF)
-
-
-def separate(
-    v: ArrowTerm, w: ArrowTerm, category: Category
-) -> SeparationWitness:
-    """Dispatch to the separation construction of the given category."""
-    if category is Category.RB:
-        return separate_rb(v, w)
-    if category is Category.EF:
-        return separate_ef(v, w)
-    return separate_pf(v, w)
+    return separate(v, w, Category.PF)

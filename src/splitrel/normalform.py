@@ -1,18 +1,23 @@
 """Canonical normal forms: eta form for preorder and equivalence terms,
 iota form for relational terms.
 
-A normal form here is a plain payload (counts plus a set of pairs) computed
-from the evaluation of a term, together with a reconstruction that turns the
-payload back into a canonical term.  Two terms denote the same arrow exactly
-when their payloads coincide, so the payloads double as decision procedure.
+A normal form here is a plain payload (counts plus a sorted tuple of pairs),
+together with a reconstruction that turns the payload back into a canonical
+term.  Two terms denote the same arrow exactly when their payloads coincide,
+so the payloads double as decision procedure.
+
+Payloads are read from the evaluator's bit rows, with no pair set in
+between: the eta form keeps each set bit j != i of flat row i (sources,
+then targets), the overlined eta form those with i < j, and the iota form
+every target bit j of source row i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
-from .relations import SRC, SplitRelation
-from .semantics import eval_term
+from .semantics import _flat_pairs, _rows
 from .terms import (
     ArrowTerm,
     Category,
@@ -85,7 +90,56 @@ def _check_pair_field(pairs: object) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class EtaNF:
+class _EtaPayload:
+    # The fields, validator and JSON form shared by EtaNF and EtaBarNF.
+    n: int
+    m: int
+    etas: tuple[tuple[int, int], ...]
+    # pairs are the links of an equivalence, stored as (min, max)
+    _unordered: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        if self.n < 0 or self.m < 0:
+            raise ValueError("negative arity")
+        _check_pair_field(self.etas)
+        width = self.n + self.m
+        unordered = self._unordered
+        for i, j in self.etas:
+            if not (0 <= i < width and 0 <= j < width):
+                raise ValueError(f"eta pair ({i}, {j}) out of range for {width} strands")
+            if unordered and i >= j:
+                raise ValueError(f"unordered pair must be stored as (min, max): ({i}, {j})")
+            if i == j:
+                raise ValueError(f"eta pair may not repeat a strand: ({i}, {j})")
+        links = self.etas
+        if unordered:
+            links += tuple((j, i) for i, j in self.etas)
+        present = set(links)
+        for a, b in links:
+            for c, d in links:
+                if b != c or a == d or (a, d) in present:
+                    continue
+                if unordered:
+                    raise ValueError(
+                        f"pairs do not close into cliques: {{{a}, {b}}} and "
+                        f"{{{c}, {d}}} demand {{{a}, {d}}}"
+                    )
+                raise ValueError(
+                    f"not closed for strict transitivity: ({a}, {b}) and "
+                    f"({c}, {d}) demand ({a}, {d})"
+                )
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "m": self.m, "etas": [list(p) for p in self.etas]}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        etas = tuple(sorted((int(i), int(j)) for i, j in data["etas"]))
+        return cls(int(data["n"]), int(data["m"]), etas)
+
+
+@dataclass(frozen=True, slots=True)
+class EtaNF(_EtaPayload):
     """Eta normal form payload for a preorder term n -> m.
 
     ``etas`` lists ordered pairs (i, j) over the n + m flattened strands:
@@ -94,77 +148,16 @@ class EtaNF:
     composition of distinct endpoints.
     """
 
-    n: int
-    m: int
-    etas: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise ValueError("negative arity")
-        _check_pair_field(self.etas)
-        width = self.n + self.m
-        present = set(self.etas)
-        for i, j in self.etas:
-            if not (0 <= i < width and 0 <= j < width):
-                raise ValueError(f"eta pair ({i}, {j}) out of range for {width} strands")
-            if i == j:
-                raise ValueError(f"eta pair may not repeat a strand: ({i}, {j})")
-        for a, b in self.etas:
-            for c, d in self.etas:
-                if b == c and a != d and (a, d) not in present:
-                    raise ValueError(
-                        f"not closed for strict transitivity: ({a}, {b}) and "
-                        f"({c}, {d}) demand ({a}, {d})"
-                    )
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "m": self.m, "etas": [list(p) for p in self.etas]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EtaNF":
-        etas = tuple(sorted((int(i), int(j)) for i, j in data["etas"]))
-        return cls(int(data["n"]), int(data["m"]), etas)
-
 
 @dataclass(frozen=True, slots=True)
-class EtaBarNF:
+class EtaBarNF(_EtaPayload):
     """Eta normal form payload for an equivalence term.
 
     Pairs are unordered; each is stored as (min, max).  Closure means every
     connected component of the pair graph is a clique.
     """
 
-    n: int
-    m: int
-    etas: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise ValueError("negative arity")
-        _check_pair_field(self.etas)
-        width = self.n + self.m
-        present = set(self.etas)
-        for i, j in self.etas:
-            if not (0 <= i < width and 0 <= j < width):
-                raise ValueError(f"eta pair ({i}, {j}) out of range for {width} strands")
-            if i >= j:
-                raise ValueError(f"unordered pair must be stored as (min, max): ({i}, {j})")
-        links = self.etas + tuple((j, i) for i, j in self.etas)
-        for a, b in links:
-            for c, d in links:
-                if b == c and a != d and (min(a, d), max(a, d)) not in present:
-                    raise ValueError(
-                        f"pairs do not close into cliques: {{{a}, {b}}} and "
-                        f"{{{c}, {d}}} demand {{{a}, {d}}}"
-                    )
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "m": self.m, "etas": [list(p) for p in self.etas]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EtaBarNF":
-        etas = tuple(sorted((int(i), int(j)) for i, j in data["etas"]))
-        return cls(int(data["n"]), int(data["m"]), etas)
+    _unordered = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,15 +186,6 @@ class IotaNF:
         return cls(int(data["n"]), int(data["m"]), pairs)
 
 
-def _flatten_strict(value: SplitRelation) -> tuple[tuple[int, int], ...]:
-    n = value.n
-
-    def flat(node) -> int:
-        return node.pos if node.tag == SRC else n + node.pos
-
-    return tuple(sorted((flat(x), flat(y)) for x, y in value.pairs if x != y))
-
-
 def _expect_category(t: ArrowTerm, home: Category, what: str) -> None:
     cat = category_of(t, default=home)
     if cat is not home:
@@ -212,23 +196,37 @@ def eta_nf(t: ArrowTerm) -> EtaNF:
     """Eta normal form of a preorder term: its strict pairs, flattened so
     source strand k becomes k and target strand k becomes n + k."""
     _expect_category(t, Category.PF, "eta normal form")
-    value = eval_term(t, category=Category.PF)
-    return EtaNF(value.n, value.m, _flatten_strict(value))
+    n, m, rows = _rows(t, Category.PF, {})
+    pairs = _flat_pairs(rows, n + m)
+    return EtaNF(n, m, tuple((i, j) for i, j in pairs if i != j))
 
 
 def etabar_nf(t: ArrowTerm) -> EtaBarNF:
     """Eta normal form of an equivalence term, with unordered pairs."""
     _expect_category(t, Category.EF, "overlined eta normal form")
-    value = eval_term(t, category=Category.EF)
-    unordered = {(min(i, j), max(i, j)) for i, j in _flatten_strict(value)}
-    return EtaBarNF(value.n, value.m, tuple(sorted(unordered)))
+    n, m, rows = _rows(t, Category.EF, {})
+    pairs = _flat_pairs(rows, n + m)
+    return EtaBarNF(n, m, tuple((i, j) for i, j in pairs if i < j))
 
 
 def iota_nf(t: ArrowTerm) -> IotaNF:
     """Iota normal form of a relational term: simply its relation."""
     _expect_category(t, Category.RB, "iota normal form")
-    value = eval_term(t, category=Category.RB)
-    return IotaNF(value.n, value.m, tuple(sorted(value.pairs)))
+    n, m, rows = _rows(t, Category.RB, {})
+    return IotaNF(n, m, tuple(_flat_pairs(rows, m)))
+
+
+def _eta_chain(
+    nf: _EtaPayload,
+    bridge: Callable[[int, int, int], ArrowTerm],
+    category: Category,
+) -> ArrowTerm:
+    width = nf.n + nf.m
+    factors: list[ArrowTerm] = [pad(nf.n, unit_power(nf.m, category), 0)]
+    for i, j in sorted(nf.etas, reverse=True):
+        factors.append(bridge(i, j, width))
+    factors.append(pad(0, counit_power(nf.n, category), nf.m))
+    return compose_chain(factors, nf.n)
 
 
 def eta_nf_term(nf: EtaNF) -> ArrowTerm:
@@ -238,23 +236,13 @@ def eta_nf_term(nf: EtaNF) -> ArrowTerm:
     factors are right-nested so the printed composition lists the pairs in
     ascending order.
     """
-    width = nf.n + nf.m
-    factors: list[ArrowTerm] = [pad(nf.n, unit_power(nf.m, Category.PF), 0)]
-    for i, j in sorted(nf.etas, reverse=True):
-        factors.append(eta_term(i, j, width))
-    factors.append(pad(0, counit_power(nf.n, Category.PF), nf.m))
-    return compose_chain(factors, nf.n)
+    return _eta_chain(nf, eta_term, Category.PF)
 
 
 def etabar_nf_term(nf: EtaBarNF) -> ArrowTerm:
     """Canonical term for an unordered eta payload, built from overlined
     eta factors."""
-    width = nf.n + nf.m
-    factors: list[ArrowTerm] = [pad(nf.n, unit_power(nf.m, Category.EF), 0)]
-    for i, j in sorted(nf.etas, reverse=True):
-        factors.append(etabar_term(i, j, width))
-    factors.append(pad(0, counit_power(nf.n, Category.EF), nf.m))
-    return compose_chain(factors, nf.n)
+    return _eta_chain(nf, etabar_term, Category.EF)
 
 
 def iota_nf_term(nf: IotaNF) -> ArrowTerm:

@@ -23,8 +23,10 @@ point, and every intermediate split value is a preorder, so a split
 composition closes only through the body's source points
 (`compose_rows`).  On the RB side the strands' bits shift into place and
 only the body's source bits are looked up.
-`equal` compares rows; `SplitRelation` and `BinRel`, with their pair
-views, are built once per call, by `eval_term` and `eval_strict`.
+`equal` compares rows, and normal forms and separation read their
+payloads and pivots from rows.  `SplitRelation` and `BinRel`, with
+their pair views, are built only for public results: by `eval_term`,
+`eval_strict` and the results of a separation witness.
 Each public call evaluates through a memo of its own, keyed on the
 value of each subterm, so a subterm repeated inside the call is
 evaluated once and nothing is kept between calls.
@@ -225,19 +227,17 @@ def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
     return memo[key]
 
 
+def _flat_pairs(rows: list[int], width: int) -> list[tuple[int, int]]:
+    """(i, j) for each set bit j < `width` of row i, in ascending order."""
+    return [
+        (i, j) for i, row in enumerate(rows) for j in range(width) if row >> j & 1
+    ]
+
+
 def _boundary(value: Rows, category: Category) -> SemValue:
     n, m, rows = value
     if category is Category.RB:
-        return BinRel(
-            n,
-            m,
-            frozenset(
-                (i, j)
-                for i, row in enumerate(rows)
-                for j in range(m)
-                if row >> j & 1
-            ),
-        )
+        return BinRel(n, m, frozenset(_flat_pairs(rows, m)))
     return split_from_rows(n, m, rows)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from splitrel import cli
+from splitrel import cli, dsl
 from splitrel.cli import (
     EXIT_DIFFER,
     EXIT_INTERNAL,
@@ -226,6 +226,19 @@ def test_different_pins_are_a_signature_error(capsys):
     # a text that cannot be parsed is a parse error, not a mismatch
     assert main(["eq", "pad(1, h", "hbar"]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_each_text_is_scanned_once(capsys, monkeypatch):
+    tokenized = []
+    tokenize = dsl._tokenize
+
+    def counting(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(dsl, "_tokenize", counting)
+    assert main(["eq", "h", "swap"]) == EXIT_DIFFER
+    assert tokenized == ["h", "swap"]
 
 
 def test_fuzz_is_deterministic_per_seed(capsys):

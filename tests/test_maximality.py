@@ -206,3 +206,16 @@ def test_rb_mask_pairs_always_separate_sharply(mask_a, mask_b):
     )))
     witness = separate_rb(v, w)
     assert set(witness.results) == {ID_ON_1, EMPTY_ON_1}
+
+
+@pytest.mark.parametrize("separator", [separate_pf, separate_ef, separate_rb])
+def test_rejection_messages_are_pinned(separator):
+    with pytest.raises(
+        TermTypeError,
+        match=r"^cannot separate terms of different types 1->1 and 2->2$",
+    ):
+        separator(Id(1), Id(2))
+    with pytest.raises(
+        ValueError, match=r"^the terms are equal; there is nothing to separate$"
+    ):
+        separator(Id(1), Id(1))

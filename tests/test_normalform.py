@@ -1,6 +1,7 @@
 """Normal form payloads, their reconstruction, and the permutation toolkit."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -118,6 +119,23 @@ def test_eta_payload_rejected(n, m, etas):
         EtaNF(n, m, etas)
 
 
+@pytest.mark.parametrize(
+    "n, m, etas, message",
+    [
+        (1, 1, ((0, 1), (0, 1)), "pairs must be sorted and free of repetitions"),
+        (1, 1, ((1, 0), (0, 1)), "pairs must be sorted and free of repetitions"),
+        (1, 1, ((0, 2),), "eta pair (0, 2) out of range for 2 strands"),
+        (1, 1, ((1, 1),), "eta pair may not repeat a strand: (1, 1)"),
+        (2, 1, ((0, 1), (1, 2)),
+         "not closed for strict transitivity: (0, 1) and (1, 2) demand (0, 2)"),
+        (-1, 0, (), "negative arity"),
+    ],
+)
+def test_eta_payload_rejection_messages(n, m, etas, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EtaNF(n, m, etas)
+
+
 def test_eta_payload_accepts_closed_set():
     EtaNF(2, 1, ((0, 1), (0, 2), (1, 2)))
     EtaNF(0, 0, ())
@@ -133,6 +151,20 @@ def test_eta_payload_accepts_closed_set():
 )
 def test_etabar_payload_rejected(n, m, etas):
     with pytest.raises(ValueError):
+        EtaBarNF(n, m, etas)
+
+
+@pytest.mark.parametrize(
+    "n, m, etas, message",
+    [
+        (1, 1, ((1, 0),), "unordered pair must be stored as (min, max): (1, 0)"),
+        (2, 1, ((0, 1), (1, 2)),
+         "pairs do not close into cliques: {0, 1} and {1, 2} demand {0, 2}"),
+        (1, 1, ((0, 0),), "unordered pair must be stored as (min, max): (0, 0)"),
+    ],
+)
+def test_etabar_payload_rejection_messages(n, m, etas, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EtaBarNF(n, m, etas)
 
 
@@ -193,6 +225,22 @@ def test_eta_nf_of_swap():
 def test_eta_nf_rejects_foreign_terms():
     with pytest.raises(TermTypeError):
         eta_nf(HBar())
+
+
+def test_foreign_term_messages_are_pinned():
+    with pytest.raises(
+        TermTypeError, match=r"^eta normal form needs a PF term, got EF$"
+    ):
+        eta_nf(HBar())
+    with pytest.raises(
+        TermTypeError,
+        match=r"^overlined eta normal form needs a EF term, got PF$",
+    ):
+        etabar_nf(H())
+    with pytest.raises(
+        TermTypeError, match=r"^iota normal form needs a RB term, got PF$"
+    ):
+        iota_nf(H())
 
 
 def test_eta_nf_worked_three_to_two():

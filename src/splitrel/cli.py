@@ -25,12 +25,12 @@ from pathlib import Path
 from splitrel.catalog import axiom_catalog, check_axiom
 from splitrel.dsl import ParseError, _parse_joined, print_term
 from splitrel.fuzz import fuzz_report
-from splitrel.maximality import separate
+from splitrel.maximality import _separate
 from splitrel.normalform import NORMAL_FORMS
 from splitrel.relations import BinRel, SplitRelation
 from splitrel.render import ascii_picture, dot_graph, text_listing
-from splitrel.semantics import equal, eval_term
-from splitrel.terms import ArrowTerm, Category, TermTypeError, type_of
+from splitrel.semantics import _boundary, _rows, _same_value
+from splitrel.terms import ArrowTerm, Category, TermType, TermTypeError
 
 EXIT_OK = 0
 EXIT_DIFFER = 1
@@ -64,8 +64,13 @@ def _category(args: argparse.Namespace) -> Category | None:
 
 def _parse_terms(
     args: argparse.Namespace, *sources: str
-) -> tuple[list[ArrowTerm], Category]:
-    """Read and parse `sources` in the one signature the command works in."""
+) -> tuple[list[ArrowTerm], list[TermType], Category]:
+    """Read and parse `sources` in the one signature the command works in.
+
+    Returns the terms, their types and the signature.  The parser admits
+    only atoms of that signature, so the terms are evaluated in it with no
+    further check.
+    """
     return _parse_joined([_read_source(s) for s in sources], _category(args))
 
 
@@ -74,21 +79,22 @@ def _dumps(obj: object) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    (term,), category = _parse_terms(args, args.term)
-    print(_VALUE_FORMATS[args.format](eval_term(term, category)))
+    (term,), _, category = _parse_terms(args, args.term)
+    value = _boundary(_rows(term, category, {}), category)
+    print(_VALUE_FORMATS[args.format](value))
     return EXIT_OK
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
-    (f, g), category = _parse_terms(args, args.lhs, args.rhs)
-    f_type, g_type = type_of(f), type_of(g)
+    (f, g), (f_type, g_type), category = _parse_terms(args, args.lhs, args.rhs)
     if f_type != g_type:
         print(f"cannot compare: {f_type} vs {g_type}", file=sys.stderr)
         return EXIT_PRECONDITION
-    same = equal(f, g, category)
+    memo: dict = {}
+    same = _same_value(f, g, category, memo)
     witness = None
     if args.separate and not same:
-        witness = separate(f, g, category)
+        witness = _separate(f, g, category, memo)
     if args.format == "json":
         obj: dict = {"equal": same}
         if witness is not None:
@@ -102,7 +108,7 @@ def cmd_eq(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    (term,), category = _parse_terms(args, args.term)
+    (term,), _, category = _parse_terms(args, args.term)
     kind, to_nf, from_nf = NORMAL_FORMS[category]
     payload = to_nf(term)
     canonical = print_term(from_nf(payload))
@@ -154,8 +160,8 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_separate(args: argparse.Namespace) -> int:
-    (f, g), category = _parse_terms(args, args.lhs, args.rhs)
-    witness = separate(f, g, category)
+    (f, g), _, category = _parse_terms(args, args.lhs, args.rhs)
+    witness = _separate(f, g, category, {})
     if args.format == "json":
         print(witness.to_json())
     else:

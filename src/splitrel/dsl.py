@@ -22,16 +22,25 @@ Shared atoms are reinterpreted per signature: in RB files `unit`,
 the derived transposition.
 
 Each atom is one entry of `_ATOMS`: its argument shape, the signature
-it forces (None for a neutral atom) and its builder.  Both the
-inference above and the check that rejects an atom outside the
+it forces (None for a neutral atom), its builder and its typing.  Both
+the inference above and the check that rejects an atom outside the
 signature in force read that entry; an atom forcing EF is allowed in
 PF.  A command parses all its texts in one signature through
 `_parse_joined`, which scans each text once.
+
+A text is scanned into plain word strings by one regex `findall`; a
+word's kind is read from its first character.  Words carry no
+positions: only when a `ParseError` is raised is the text scanned again
+to give the error its line and column.  The parser types the term as it
+builds it, checking each `.` in the order `type_of` does, so a parsed
+term is not walked again; only when a junction mismatches does it call
+`type_of` once, after the whole text has parsed, for that error's
+message.
 """
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from splitrel.terms import (
     ArrowTerm,
@@ -46,6 +55,7 @@ from splitrel.terms import (
     NablaK,
     Pad,
     Swap,
+    TermType,
     TermTypeError,
     Unit,
     UnitK,
@@ -73,41 +83,49 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # NAT, NAME, EOF, or the punctuation character itself
-    text: str
-    pos: int
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)|(?P<NAT>\d+)|(?P<NAME>[a-z]+)|(?P<PUNCT>[.,;()])|(?P<BAD>.)"
-)
+# A word is a number, a name or a punctuation mark; any other character
+# but white space is rejected.  Words carry no offsets: an error scans the
+# text again with `_POSITIONED`, compiled (and cached by `re`) only then.
+_WORD_RE = re.compile(r"\d+|[a-z]+|[.,;()]")
+_BAD_RE = re.compile(r"[^\s\da-z.,;()]")
+_POSITIONED = r"\s*(\d+|[a-z]+|[.,;()])"
 
 _DIRECTIVE_RE = re.compile(r"%category\s+(PF|EF|RB)\s*$")
 
-# name -> (argument shape, signature forced or None, builder).  In a shape
-# `n` is a number, `t` a term, and `,`/`;` a separator.
-_ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm]]] = {
-    "id": ("n", None, lambda cat, n: Id(n)),
-    "unit": ("", None, lambda cat: UnitK(1) if cat is RB else Unit()),
-    "counit": ("", None, lambda cat: CounitK(1) if cat is RB else Counit()),
-    "swap": ("", None, lambda cat: tau_rb() if cat is RB else Swap()),
-    "h": ("", PF, lambda cat: H()),
-    "hbar": ("", EF, lambda cat: hbar_in_pf() if cat is PF else HBar()),
-    "nabla": ("n", RB, lambda cat, k: NablaK(k)),
-    "delta": ("n", RB, lambda cat, k: DeltaK(k)),
-    "unitk": ("n", RB, lambda cat, k: UnitK(k)),
-    "counitk": ("n", RB, lambda cat, k: CounitK(k)),
-    "pad": ("n,t,n", None, lambda cat, left, t, right: pad(left, t, right)),
-    "plus": ("t,t", None, lambda cat, f, g: plus(f, g)),
-    "eta": ("n,n,n", PF, lambda cat, i, j, n: eta_term(i, j, n)),
+# name -> (argument shape, signature forced or None, builder, typing).  In
+# a shape `n` is a number, `t` a term, and `,`/`;` a separator.  The typing
+# maps the arguments, with each term replaced by its (src, tgt), to the
+# (src, tgt) of the built term.
+_ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm], Callable]] = {
+    "id": ("n", None, lambda cat, n: Id(n), lambda n: (n, n)),
+    "unit": ("", None, lambda cat: UnitK(1) if cat is RB else Unit(),
+             lambda: (0, 1)),
+    "counit": ("", None, lambda cat: CounitK(1) if cat is RB else Counit(),
+               lambda: (1, 0)),
+    "swap": ("", None, lambda cat: tau_rb() if cat is RB else Swap(),
+             lambda: (2, 2)),
+    "h": ("", PF, lambda cat: H(), lambda: (2, 2)),
+    "hbar": ("", EF, lambda cat: hbar_in_pf() if cat is PF else HBar(),
+             lambda: (2, 2)),
+    "nabla": ("n", RB, lambda cat, k: NablaK(k), lambda k: (2 * k, k)),
+    "delta": ("n", RB, lambda cat, k: DeltaK(k), lambda k: (k, 2 * k)),
+    "unitk": ("n", RB, lambda cat, k: UnitK(k), lambda k: (0, k)),
+    "counitk": ("n", RB, lambda cat, k: CounitK(k), lambda k: (k, 0)),
+    "pad": ("n,t,n", None, lambda cat, left, t, right: pad(left, t, right),
+            lambda left, t, right: (left + t[0] + right, left + t[1] + right)),
+    "plus": ("t,t", None, lambda cat, f, g: plus(f, g),
+             lambda f, g: (f[0] + g[0], f[1] + g[1])),
+    "eta": ("n,n,n", PF, lambda cat, i, j, n: eta_term(i, j, n),
+            lambda i, j, n: (n, n)),
     "etabar": ("n,n,n", EF, lambda cat, i, j, n: (
         Comp(eta_term(i, j, n), eta_term(j, i, n)) if cat is PF
         else etabar_term(i, j, n)
-    )),
-    "iota": ("n,n;n,n", RB, lambda cat, i, j, n, m: iota_term(i, j, n, m)),
-    "zero": ("n,n", None, lambda cat, n, m: zero_term(n, m, cat)),
-    "union": ("t,t", RB, lambda cat, f, g: union_term(f, g)),
+    ), lambda i, j, n: (n, n)),
+    "iota": ("n,n;n,n", RB, lambda cat, i, j, n, m: iota_term(i, j, n, m),
+             lambda i, j, n, m: (n, m)),
+    "zero": ("n,n", None, lambda cat, n, m: zero_term(n, m, cat),
+             lambda n, m: (n, m)),
+    "union": ("t,t", RB, lambda cat, f, g: union_term(f, g), lambda f, g: f),
 }
 
 
@@ -117,8 +135,17 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return line, pos - start + 1
 
 
+def _word_line_col(text: str, index: int) -> tuple[int, int]:
+    """Line and column of word `index` of `text`, or of its end when the
+    text has no such word."""
+    for k, m in enumerate(re.finditer(_POSITIONED, text)):
+        if k == index:
+            return _line_col(text, m.start(1))
+    return _line_col(text, len(text))
+
+
 def _extract_header(text: str) -> tuple[str, Category | None]:
-    # Directive lines are blanked in place so token offsets keep
+    # Directive lines are blanked in place so word offsets keep
     # pointing into the original text.
     lines = text.split("\n")
     header: Category | None = None
@@ -143,27 +170,24 @@ def _extract_header(text: str) -> tuple[str, Category | None]:
     return "\n".join(lines), header
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "BAD":
-            line, col = _line_col(text, m.start())
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        if kind != "WS":
-            tokens.append(_Token(word if kind == "PUNCT" else kind, word, m.start()))
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The words of `text`, then "" for its end."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        line, col = _line_col(text, bad.start())
+        raise ParseError(f"unexpected character {bad.group()!r}", line, col)
+    words = _WORD_RE.findall(text)
+    words.append("")
+    return words
 
 
-def _resolve_category(tokens: list[_Token], text: str) -> Category | None:
-    names = sorted({t.text for t in tokens if t.kind == "NAME"} & _ATOMS.keys())
+def _resolve_category(words: list[str], text: str) -> Category | None:
+    names = sorted(_ATOMS.keys() & set(words))
     forced = [_ATOMS[name][1] for name in names]
     if RB in forced:
         split = [name for name, f in zip(names, forced) if f in (PF, EF)]
         if split:
-            token = next(t for t in tokens if t.text == split[0])
-            line, col = _line_col(text, token.pos)
+            line, col = _word_line_col(text, words.index(split[0]))
             raise ParseError(
                 f"{split[0]!r} cannot appear in a relational term", line, col
             )
@@ -173,102 +197,122 @@ def _resolve_category(tokens: list[_Token], text: str) -> Category | None:
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[_Token], category: Category):
+    """Builds a term from words and types it on the way: each term comes
+    with its (src, tgt).  A `.` whose two sides disagree sets `mismatch`,
+    and the caller then asks `type_of` for the error, once the whole text
+    has parsed."""
+
+    def __init__(self, text: str, words: list[str], category: Category):
         self.text = text
-        self.tokens = tokens
+        self.words = words
         self.category = category
         self.index = 0
+        self.mismatch = False
 
-    def error(self, message: str, token: _Token | None = None) -> ParseError:
-        token = token or self.tokens[self.index]
-        line, col = _line_col(self.text, token.pos)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        line, col = _word_line_col(
+            self.text, self.index if index is None else index
+        )
         return ParseError(message, line, col)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
+    def expect(self, word: str) -> None:
+        found = self.words[self.index]
+        if found != word:
+            raise self.error(f"expected {word!r}, found {found or 'end of input'!r}")
         self.index += 1
-        return token
 
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            what = "a number" if kind == "NAT" else repr(kind)
-            raise self.error(f"expected {what}, found {token.text or 'end of input'!r}")
-        return self.advance()
+    def number(self) -> int:
+        word = self.words[self.index]
+        if not word[:1].isdecimal():
+            raise self.error(f"expected a number, found {word or 'end of input'!r}")
+        self.index += 1
+        return int(word)
 
-    def term(self) -> ArrowTerm:
+    def term(self) -> tuple[ArrowTerm, int, int]:
+        words = self.words
         factors = [self.atom()]
-        while self.peek().kind == ".":
-            self.advance()
+        while words[self.index] == ".":
+            self.index += 1
             factors.append(self.atom())
-        result = factors[-1]
-        for f in reversed(factors[:-1]):
-            result = Comp(f, result)
-        return result
+        # fold from the right, the order `type_of` checks the junctions in
+        result, src, tgt = factors.pop()
+        while factors:
+            after, after_src, after_tgt = factors.pop()
+            if after_src != tgt:
+                self.mismatch = True
+            result, tgt = Comp(after, result), after_tgt
+        return result, src, tgt
 
-    def atom(self) -> ArrowTerm:
-        token = self.advance()
-        if token.kind == "(":
+    def atom(self) -> tuple[ArrowTerm, int, int]:
+        index = self.index
+        word = self.words[index]
+        self.index += 1
+        if word == "(":
             inner = self.term()
             self.expect(")")
             return inner
-        if token.kind != "NAME":
+        if word not in _ATOMS:
+            if "a" <= word[:1] <= "z":
+                raise self.error(f"unknown atom {word!r}", index)
             raise self.error(
-                f"expected a term, found {token.text or 'end of input'!r}", token
+                f"expected a term, found {word or 'end of input'!r}", index
             )
-        if token.text not in _ATOMS:
-            raise self.error(f"unknown atom {token.text!r}", token)
-        shape, forces, build = _ATOMS[token.text]
+        shape, forces, build, typing = _ATOMS[word]
         cat = self.category
         # an atom forcing EF is allowed in PF, where it expands through `h`
         if forces not in (None, cat) and (forces, cat) != (EF, PF):
-            raise self.error(f"{token.text!r} is not a {cat.value} generator", token)
+            raise self.error(f"{word!r} is not a {cat.value} generator", index)
         try:
-            return build(cat, *self.args(shape))
+            values, types = self.args(shape)
+            return (build(cat, *values), *typing(*types))
         except ParseError:
             raise
         except ValueError as exc:
-            raise self.error(str(exc), token) from exc
+            raise self.error(str(exc), index) from exc
 
-    def args(self, shape: str) -> list:
+    def args(self, shape: str) -> tuple[list, list]:
+        """The arguments for the builder, and for the typing."""
         if not shape:
-            return []
+            return [], []
         self.expect("(")
         values: list = []
+        types: list = []
         for part in shape:
             if part == "n":
-                values.append(int(self.expect("NAT").text))
+                n = self.number()
+                values.append(n)
+                types.append(n)
             elif part == "t":
-                values.append(self.term())
+                t, src, tgt = self.term()
+                values.append(t)
+                types.append((src, tgt))
             else:
                 self.expect(part)
         self.expect(")")
-        return values
+        return values, types
 
 
 def _scan(
     text: str, declared: Category | None
-) -> tuple[str, list[_Token], Category | None]:
+) -> tuple[str, list[str], Category | None]:
     body, header = _extract_header(text)
-    tokens = _tokenize(body)
-    if tokens[0].kind == "EOF":
+    words = _tokenize(body)
+    if not words[0]:
         raise ParseError("empty input")
-    return body, tokens, declared or header or _resolve_category(tokens, body)
+    return body, words, declared or header or _resolve_category(words, body)
 
 
 def _parse_scanned(
-    body: str, tokens: list[_Token], category: Category
-) -> ArrowTerm:
-    parser = _Parser(body, tokens, category)
-    term = parser.term()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise parser.error(f"unexpected trailing input {trailing.text!r}")
-    type_of(term)
-    return term
+    body: str, words: list[str], category: Category
+) -> tuple[ArrowTerm, TermType]:
+    parser = _Parser(body, words, category)
+    term, src, tgt = parser.term()
+    trailing = words[parser.index]
+    if trailing:
+        raise parser.error(f"unexpected trailing input {trailing!r}")
+    if parser.mismatch:
+        return term, type_of(term)  # raises the error of the first mismatch
+    return term, TermType(src, tgt)
 
 
 def parse_with_category(
@@ -284,16 +328,17 @@ def parse_with_category(
             category = Category[category.upper()]
         except KeyError:
             raise ParseError(f"unknown category {category!r}") from None
-    body, tokens, pinned = _scan(text, category)
+    body, words, pinned = _scan(text, category)
     resolved = pinned or PF
-    return _parse_scanned(body, tokens, resolved), resolved
+    return _parse_scanned(body, words, resolved)[0], resolved
 
 
 def _parse_joined(
     texts: list[str], category: Category | None
-) -> tuple[list[ArrowTerm], Category]:
+) -> tuple[list[ArrowTerm], list[TermType], Category]:
     """Parse `texts` in one signature: `category` when given, else the
     first one a text pins through its header or an atom, else PF.
+    Returns the terms, their types and the signature.
 
     Every text is scanned once, and all are scanned before any is parsed.
     A text pinning another signature is parsed in its own, so that a
@@ -301,15 +346,15 @@ def _parse_joined(
     """
     scans = [_scan(text, category) for text in texts]
     joined = next((pin for *_, pin in scans if pin), PF)
-    terms = [
-        _parse_scanned(body, tokens, pin or joined) for body, tokens, pin in scans
+    parsed = [
+        _parse_scanned(body, words, pin or joined) for body, words, pin in scans
     ]
     for *_, pin in scans:
         if pin and pin is not joined:
             raise TermTypeError(
                 f"category mismatch: {joined.value} vs {pin.value}"
             )
-    return terms, joined
+    return [term for term, _ in parsed], [t for _, t in parsed], joined
 
 
 def parse(text: str, category: Category | str | None = None) -> ArrowTerm:

@@ -85,10 +85,7 @@ class SeparationWitness:
 def _values(
     v: ArrowTerm, w: ArrowTerm, category: Category, memo: dict
 ) -> tuple[Rows, Rows]:
-    rows = []
-    for t in (v, w):
-        resolve_category(t, category=category)
-        rows.append(_rows(t, category, memo))
+    rows = [_rows(v, category, memo), _rows(w, category, memo)]
     (vn, vm, _), (wn, wm, _) = rows
     if (vn, vm) != (wn, wm):
         raise TermTypeError(
@@ -121,7 +118,16 @@ def separate(
     """Witness for two terms of the same type whose values in `category`
     differ; `separate_pf`, `separate_ef` and `separate_rb` fix the
     category."""
-    memo: dict = {}
+    resolve_category(v, category=category)
+    resolve_category(w, category=category)
+    return _separate(v, w, category, {})
+
+
+def _separate(
+    v: ArrowTerm, w: ArrowTerm, category: Category, memo: dict
+) -> SeparationWitness:
+    """`separate` for terms known to be in `category`, evaluating through
+    `memo`, which may already hold their rows."""
     (n, m, v_rows), (_, _, w_rows) = _values(v, w, category, memo)
     # the first flat row where the values differ, and its lowest such bit
     x, diff = next(

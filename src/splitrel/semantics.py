@@ -23,13 +23,18 @@ point, and every intermediate split value is a preorder, so a split
 composition closes only through the body's source points
 (`compose_rows`).  On the RB side the strands' bits shift into place and
 only the body's source bits are looked up.
-`equal` compares rows, and normal forms and separation read their
+`equal` resolves the signature, then compares rows through the private
+`_same_value`, and `eval_term` resolves, then reads
+`_boundary(_rows(...))`.  The command line calls the second step of
+each directly: its parser admits only atoms of the command's signature,
+so the terms need no resolving.  Normal forms and separation read their
 payloads and pivots from rows.  `SplitRelation` and `BinRel`, with
 their pair views, are built only for public results: by `eval_term`,
 `eval_strict` and the results of a separation witness.
 Each public call evaluates through a memo of its own, keyed on the
 value of each subterm, so a subterm repeated inside the call is
-evaluated once and nothing is kept between calls.
+evaluated once and nothing is kept between calls.  `eq --separate`
+passes the memo of its comparison on to the separation.
 """
 from __future__ import annotations
 
@@ -255,10 +260,14 @@ def equal(
     f: ArrowTerm, g: ArrowTerm, category: Category | None = None
 ) -> bool:
     """Decide derivable equality of two parallel same-category terms."""
-    resolved = resolve_category(f, g, category=category)
-    memo: dict = {}
-    f_value = _rows(f, resolved, memo)
-    g_value = _rows(g, resolved, memo)
+    return _same_value(f, g, resolve_category(f, g, category=category), {})
+
+
+def _same_value(f: ArrowTerm, g: ArrowTerm, category: Category, memo: dict) -> bool:
+    """Whether `f` and `g`, both in `category`, have the same rows; `memo`
+    keeps their rows for the caller."""
+    f_value = _rows(f, category, memo)
+    g_value = _rows(g, category, memo)
     if f_value[:2] != g_value[:2]:
         f_type, g_type = TermType(*f_value[:2]), TermType(*g_value[:2])
         raise TermTypeError(f"type mismatch: {f_type} vs {g_type}")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from splitrel import cli, dsl
+from splitrel import cli, dsl, terms
 from splitrel.cli import (
     EXIT_DIFFER,
     EXIT_INTERNAL,
@@ -239,6 +239,55 @@ def test_each_text_is_scanned_once(capsys, monkeypatch):
     monkeypatch.setattr(dsl, "_tokenize", counting)
     assert main(["eq", "h", "swap"]) == EXIT_DIFFER
     assert tokenized == ["h", "swap"]
+
+
+def test_eq_on_different_types_is_a_precondition(capsys):
+    assert main(["eq", "h", "unit"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "cannot compare: 2->2 vs 0->1\n")
+
+
+def _count_calls(monkeypatch, module, name):
+    # every splitrel module that imported the function by name, and its
+    # home module, through which it recurses
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "splitrel" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_parsed_terms_are_not_walked_again(capsys, monkeypatch):
+    chain = " . ".join(f"pad({k % 7}, swap, {6 - k % 7})" for k in range(200))
+    typed = _count_calls(monkeypatch, terms, "type_of")
+    forced = _count_calls(monkeypatch, terms, "forced_category")
+    assert main(["eq", "--category", "PF", chain, chain]) == 0
+    assert capsys.readouterr().out == "equal\n"
+    assert main(["eval", "--category", "PF", chain]) == 0
+    assert capsys.readouterr().out.startswith('{"n":8,"m":8,')
+    assert (len(typed), len(forced)) == (0, 0)
+
+
+def test_eq_separates_through_the_rows_it_compared(capsys, monkeypatch):
+    memo_sizes = []
+    separate = cli._separate
+
+    def recording(v, w, category, memo):
+        memo_sizes.append(len(memo))
+        return separate(v, w, category, memo)
+
+    monkeypatch.setattr(cli, "_separate", recording)
+    argv = ["eq", "--separate", "--format", "json", "h", "id(2)"]
+    assert main(argv) == EXIT_DIFFER
+    assert capsys.readouterr().out == (GOLDEN / "eq-h-id2.json").read_text()
+    # the rows of both terms are already there
+    assert memo_sizes == [2]
 
 
 def test_fuzz_is_deterministic_per_seed(capsys):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from splitrel import dsl
 from splitrel.dsl import ParseError, parse, parse_with_category, print_term
 from splitrel.fuzz import random_term
+from splitrel.semantics import resolve_category
 from splitrel.terms import (
     Category,
     Comp,
@@ -254,6 +256,102 @@ def test_parse_error_messages_are_pinned(text, category, message, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text, category)
     assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
+
+# text, exact message of the `TermTypeError`
+TYPE_ERRORS = [
+    ("unit . unit", "cannot compose 0->1 with 0->1: 1 != 0"),
+    ("h . pad(1, unit . unit, 0)", "cannot compose 1->2 with 1->2: 2 != 1"),
+    ("h . (counit . counit) . h", "cannot compose 1->0 with 1->0: 0 != 1"),
+    # `type_of` checks the right-hand junction of a chain first
+    ("unit . unit . counit . counit", "cannot compose 1->0 with 1->0: 0 != 1"),
+    ("counit . h . unit . unit", "cannot compose 0->1 with 0->1: 1 != 0"),
+    ("pad(0, unit, 1) . swap", "cannot compose 2->2 with 1->2: 2 != 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", TYPE_ERRORS)
+def test_type_error_messages_are_pinned(text, message):
+    with pytest.raises(TermTypeError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_a_syntax_error_wins_over_an_earlier_type_error():
+    with pytest.raises(ParseError) as exc:
+        parse("unit . unit h")
+    assert str(exc.value) == "unexpected trailing input 'h' (line 1, column 13)"
+    with pytest.raises(ParseError) as exc:
+        parse("pad(1, unit . unit, 0) . (h")
+    assert str(exc.value) == (
+        "expected ')', found 'end of input' (line 1, column 28)"
+    )
+
+
+def test_deep_chain_parses_without_recursion():
+    chain = " . ".join(["h"] * 5000)
+    term = parse(chain)
+    factors = 1
+    while isinstance(term, Comp):
+        assert term.after == H()
+        term, factors = term.before, factors + 1
+    assert (term, factors) == (H(), 5000)
+    terms, types, category = dsl._parse_joined([chain], None)
+    assert (types, category) == ([TermType(2, 2)], Category.PF)
+
+
+def test_parse_types_agree_with_type_of():
+    rng = random.Random(5)
+    for category in Category:
+        texts = [print_term(random_term(rng, category)) for _ in range(100)]
+        terms, types, _ = dsl._parse_joined(texts, category)
+        assert types == [type_of(t) for t in terms]
+
+
+def _atom_text(name: str) -> str:
+    # a 3 -> 2 body using every shared atom, so RB reinterprets them, and
+    # with different widths on its two sides, so a typing that mixes them
+    # up shows
+    body = "swap . pad(1, unit . counit, 0) . pad(0, counit, 2)"
+    shape = dsl._ATOMS[name][0]
+    if not shape:
+        return name
+    args = {"n": "2", "t,t": f"{body}, {body}", "n,t,n": f"1, {body}, 0",
+            "n,n": "1, 2", "n,n,n": "0, 1, 2", "n,n;n,n": "0, 1; 2, 2"}
+    if name == "plus":
+        return f"plus({body}, counit)"
+    return f"{name}({args[shape]})"
+
+
+@pytest.mark.parametrize("name", sorted(dsl._ATOMS))
+def test_each_parsed_atom_has_its_type_and_signature(name):
+    # The command line takes a term's type from the parse, and evaluates
+    # the term in the command's signature with no `resolve_category`;
+    # `type_of` and `resolve_category` are the references for both.
+    text = _atom_text(name)
+    parsed_in = []
+    for category in Category:
+        try:
+            (term,), types, _ = dsl._parse_joined([text], category)
+        except ParseError:
+            continue
+        parsed_in.append(category)
+        assert types == [type_of(term)]
+        assert resolve_category(term, category=category) is category
+    assert parsed_in, text
+    term, pinned = parse_with_category(text)
+    assert resolve_category(term, category=pinned) is pinned
+
+
+def test_parsed_random_terms_are_in_the_signature_they_parse_in():
+    rng = random.Random(17)
+    for category in Category:
+        for _ in range(300):
+            text = print_term(random_term(rng, category))
+            term = parse(text, category)
+            assert resolve_category(term, category=category) is category, text
+            term, pinned = parse_with_category(text)
+            assert resolve_category(term, category=pinned) is pinned, text
 
 
 # ------------------------------------------------------------------ printing

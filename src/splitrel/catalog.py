@@ -29,9 +29,12 @@ from .terms import (
     NablaK,
     Pad,
     Swap,
+    TermType,
     TermTypeError,
     Unit,
     UnitK,
+    _sum,
+    _union,
     category_of,
     compose_chain,
     delta_down_pf,
@@ -909,6 +912,9 @@ def _rel(mask: int, n: int = 2, m: int = 2) -> ArrowTerm:
     return iota_nf_term(IotaNF(n, m, pairs))
 
 
+_SQUARE = TermType(2, 2)  # the type of `_rel`'s default sample relations
+
+
 def _mask_ranges(*sizes: int) -> Callable[[int], Iterator[tuple[int, ...]]]:
     def gen(max_param: int) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(size) for size in sizes))
@@ -922,16 +928,16 @@ def _rb_axioms() -> list[Axiom]:
 
     def nabla_nat(i: int) -> _Pair:
         f = _pick(pool, i)
-        n, m = type_of(f)
+        n, m = f_type = type_of(f)
         lhs = _chain([NablaK(n), f], 2 * n)
-        rhs = _chain([plus(f, f), NablaK(m)], 2 * n)
+        rhs = _chain([_sum(f, f_type, f, f_type), NablaK(m)], 2 * n)
         return lhs, rhs
 
     def delta_nat(i: int) -> _Pair:
         f = _pick(pool, i)
-        n, m = type_of(f)
+        n, m = f_type = type_of(f)
         lhs = _chain([f, DeltaK(m)], n)
-        rhs = _chain([DeltaK(n), plus(f, f)], n)
+        rhs = _chain([DeltaK(n), _sum(f, f_type, f, f_type)], n)
         return lhs, rhs
 
     def unit_nat(i: int) -> _Pair:
@@ -1118,36 +1124,39 @@ def _rb_axioms() -> list[Axiom]:
         _axiom(
             "union-assoc", rb, ("f", "g", "h"),
             lambda a, b, c: (
-                union_term(_rel(a), union_term(_rel(b), _rel(c))),
-                union_term(union_term(_rel(a), _rel(b)), _rel(c)),
+                _union(_rel(a), _union(_rel(b), _rel(c), _SQUARE), _SQUARE),
+                _union(_union(_rel(a), _rel(b), _SQUARE), _rel(c), _SQUARE),
             ),
             ranges=_mask_ranges(8, 8, 8), padded=False,
         ),
         _axiom(
             "union-comm", rb, ("f", "g"),
             lambda a, b: (
-                union_term(_rel(a), _rel(b)),
-                union_term(_rel(b), _rel(a)),
+                _union(_rel(a), _rel(b), _SQUARE),
+                _union(_rel(b), _rel(a), _SQUARE),
             ),
             ranges=_mask_ranges(16, 16), padded=False,
         ),
         _axiom(
             "union-idem", rb, ("f",),
-            lambda a: (union_term(_rel(a), _rel(a)), _rel(a)),
+            lambda a: (_union(_rel(a), _rel(a), _SQUARE), _rel(a)),
             ranges=_mask_ranges(16), padded=False,
         ),
         _axiom(
             "union-zero", rb, ("f",),
-            lambda a: (union_term(_rel(a), zero_term(2, 2, rb)), _rel(a)),
+            lambda a: (
+                _union(_rel(a), zero_term(2, 2, rb), _SQUARE), _rel(a)
+            ),
             ranges=_mask_ranges(16), padded=False,
         ),
         _axiom(
             "comp-union-left", rb, ("f", "g", "h"),
             lambda a, b, c: (
-                _chain([union_term(_rel(b), _rel(c)), _rel(a)], 2),
-                union_term(
+                _chain([_union(_rel(b), _rel(c), _SQUARE), _rel(a)], 2),
+                _union(
                     _chain([_rel(b), _rel(a)], 2),
                     _chain([_rel(c), _rel(a)], 2),
+                    _SQUARE,
                 ),
             ),
             ranges=_mask_ranges(8, 8, 8), padded=False,
@@ -1155,10 +1164,11 @@ def _rb_axioms() -> list[Axiom]:
         _axiom(
             "comp-union-right", rb, ("f", "g", "h"),
             lambda a, b, c: (
-                _chain([_rel(a), union_term(_rel(b), _rel(c))], 2),
-                union_term(
+                _chain([_rel(a), _union(_rel(b), _rel(c), _SQUARE)], 2),
+                _union(
                     _chain([_rel(a), _rel(b)], 2),
                     _chain([_rel(a), _rel(c)], 2),
+                    _SQUARE,
                 ),
             ),
             ranges=_mask_ranges(8, 8, 8), padded=False,
@@ -1182,26 +1192,29 @@ def _rb_axioms() -> list[Axiom]:
         _axiom(
             "pad-union-left", rb, ("f", "g"),
             lambda a, b: (
-                pad(1, union_term(_rel(a), _rel(b)), 0),
-                union_term(pad(1, _rel(a), 0), pad(1, _rel(b), 0)),
+                pad(1, _union(_rel(a), _rel(b), _SQUARE), 0),
+                _union(pad(1, _rel(a), 0), pad(1, _rel(b), 0), TermType(3, 3)),
             ),
             ranges=_mask_ranges(16, 16), padded=False,
         ),
         _axiom(
             "pad-union-right", rb, ("f", "g"),
             lambda a, b: (
-                pad(0, union_term(_rel(a), _rel(b)), 1),
-                union_term(pad(0, _rel(a), 1), pad(0, _rel(b), 1)),
+                pad(0, _union(_rel(a), _rel(b), _SQUARE), 1),
+                _union(pad(0, _rel(a), 1), pad(0, _rel(b), 1), TermType(3, 3)),
             ),
             ranges=_mask_ranges(16, 16), padded=False,
         ),
         _axiom(
             "plus-union", rb, ("f", "g"),
             lambda a, b: (
-                plus(_rel(a, 1, 2), _rel(b, 2, 1)),
-                union_term(
-                    plus(_rel(a, 1, 2), zero_term(2, 1, rb)),
-                    plus(zero_term(1, 2, rb), _rel(b, 2, 1)),
+                _sum(_rel(a, 1, 2), TermType(1, 2), _rel(b, 2, 1), TermType(2, 1)),
+                _union(
+                    _sum(_rel(a, 1, 2), TermType(1, 2),
+                         zero_term(2, 1, rb), TermType(2, 1)),
+                    _sum(zero_term(1, 2, rb), TermType(1, 2),
+                         _rel(b, 2, 1), TermType(2, 1)),
+                    TermType(3, 3),
                 ),
             ),
             ranges=_mask_ranges(4, 4), padded=False,
@@ -1210,7 +1223,9 @@ def _rb_axioms() -> list[Axiom]:
             "nabla-union", rb, ("k",),
             lambda k: (
                 NablaK(k),
-                union_term(pad(k, CounitK(k), 0), pad(0, CounitK(k), k)),
+                _union(
+                    pad(k, CounitK(k), 0), pad(0, CounitK(k), k), TermType(2 * k, k)
+                ),
             ),
             padded=False,
         ),
@@ -1218,7 +1233,9 @@ def _rb_axioms() -> list[Axiom]:
             "delta-union", rb, ("k",),
             lambda k: (
                 DeltaK(k),
-                union_term(pad(k, UnitK(k), 0), pad(0, UnitK(k), k)),
+                _union(
+                    pad(k, UnitK(k), 0), pad(0, UnitK(k), k), TermType(k, 2 * k)
+                ),
             ),
             padded=False,
         ),
@@ -1226,8 +1243,9 @@ def _rb_axioms() -> list[Axiom]:
             "nabla-def", rb, ("n", "k", "m"),
             lambda n, k, m: (
                 pad(n, NablaK(k), m),
-                union_term(
-                    pad(n + k, CounitK(k), m), pad(n, CounitK(k), k + m)
+                _union(
+                    pad(n + k, CounitK(k), m), pad(n, CounitK(k), k + m),
+                    TermType(n + 2 * k + m, n + k + m),
                 ),
             ),
             padded=False,
@@ -1236,7 +1254,10 @@ def _rb_axioms() -> list[Axiom]:
             "delta-def", rb, ("n", "k", "m"),
             lambda n, k, m: (
                 pad(n, DeltaK(k), m),
-                union_term(pad(n + k, UnitK(k), m), pad(n, UnitK(k), k + m)),
+                _union(
+                    pad(n + k, UnitK(k), m), pad(n, UnitK(k), k + m),
+                    TermType(n + k + m, n + 2 * k + m),
+                ),
             ),
             padded=False,
         ),

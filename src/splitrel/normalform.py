@@ -22,7 +22,9 @@ from .terms import (
     ArrowTerm,
     Category,
     Perm,
+    TermType,
     TermTypeError,
+    _union,
     category_of,
     compose_chain,
     counit_power,
@@ -32,7 +34,6 @@ from .terms import (
     pad,
     perm_factors,
     perm_term,
-    union_term,
     unit_power,
     zero_term,
 )
@@ -251,9 +252,10 @@ def iota_nf_term(nf: IotaNF) -> ArrowTerm:
     if not nf.pairs:
         return zero_term(nf.n, nf.m, Category.RB)
     term: ArrowTerm | None = None
+    term_type = TermType(nf.n, nf.m)
     for i, j in sorted(nf.pairs, reverse=True):
         single = iota_term(i, j, nf.n, nf.m)
-        term = single if term is None else union_term(single, term)
+        term = single if term is None else _union(single, term, term_type)
     assert term is not None
     return term
 

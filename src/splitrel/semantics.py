@@ -23,14 +23,19 @@ point, and every intermediate split value is a preorder, so a split
 composition closes only through the body's source points
 (`compose_rows`).  On the RB side the strands' bits shift into place and
 only the body's source bits are looked up.
-`equal` resolves the signature, then compares rows through the private
-`_same_value`, and `eval_term` resolves, then reads
-`_boundary(_rows(...))`.  The command line calls the second step of
-each directly: its parser admits only atoms of the command's signature,
-so the terms need no resolving.  Normal forms and separation read their
-payloads and pivots from rows.  `SplitRelation` and `BinRel`, with
-their pair views, are built only for public results: by `eval_term`,
-`eval_strict` and the results of a separation witness.
+Each signature reads only its own generators: PF has no `HBar`, EF no
+`H`, and RB only the relational leaves, so a generator of another
+signature raises inside the walk.  `equal` with a category therefore
+compares rows through the private `_same_value` at once, and resolves
+the signature with `resolve_category` only when that walk raises, so
+that the resolver's error, when there is one, is the one reported.
+Without a category, `equal` resolves first.  `eval_term` resolves, then
+reads `_boundary(_rows(...))`.  The command line calls the second step
+of each directly: its parser admits only atoms of the command's
+signature, so the terms need no resolving.  Normal forms and separation
+read their payloads and pivots from rows.  `SplitRelation` and `BinRel`,
+with their pair views, are built only for public results: by
+`eval_term`, `eval_strict` and the results of a separation witness.
 Each public call evaluates through a memo of its own, keyed on the
 value of each subterm, so a subterm repeated inside the call is
 evaluated once and nothing is kept between calls.  `eq --separate`
@@ -119,23 +124,27 @@ def _check_middle(before: Rows, left: int, body: Rows, right: int) -> None:
 
 # Split values: bit rows over the flat source-then-target points.
 
-_SPLIT_LEAVES: dict[ArrowTerm, tuple[int, int, tuple[int, ...]]] = {
+_SHARED_LEAVES: dict[ArrowTerm, tuple[int, int, tuple[int, ...]]] = {
     Unit(): (0, 1, (0b1,)),
     Counit(): (1, 0, (0b1,)),
     # points s0, s1, t0, t1 are bits 0, 1, 2, 3
     Swap(): (2, 2, (0b1001, 0b0110, 0b0110, 0b1001)),
-    H(): (2, 2, (0b1111, 0b1010, 0b1111, 0b1010)),
-    HBar(): (2, 2, (0b1111, 0b1111, 0b1111, 0b1111)),
 }
+# each signature reads only its own bridge
+_PF_LEAVES = {**_SHARED_LEAVES, H(): (2, 2, (0b1111, 0b1010, 0b1111, 0b1010))}
+_EF_LEAVES = {**_SHARED_LEAVES, HBar(): (2, 2, (0b1111, 0b1111, 0b1111, 0b1111))}
 
 
-def _split_leaf(t: ArrowTerm) -> Rows:
-    if isinstance(t, Id):
-        return t.n, t.n, [1 << i | 1 << (t.n + i) for i in range(t.n)] * 2
-    if t not in _SPLIT_LEAVES:
-        raise TermTypeError(f"not a split-preorder generator: {t!r}")
-    n, m, rows = _SPLIT_LEAVES[t]
-    return n, m, list(rows)
+def _split_leaf_of(leaves: dict, category: Category):
+    def leaf(t: ArrowTerm) -> Rows:
+        if isinstance(t, Id):
+            return t.n, t.n, [1 << i | 1 << (t.n + i) for i in range(t.n)] * 2
+        if t not in leaves:
+            raise TermTypeError(f"not a generator of {category.value}: {t!r}")
+        n, m, rows = leaves[t]
+        return n, m, list(rows)
+
+    return leaf
 
 
 def _split_then_padded(before: Rows, left: int, body: Rows, right: int) -> Rows:
@@ -182,10 +191,9 @@ def _rel_then_padded(before: Rows, left: int, body: Rows, right: int) -> Rows:
 
 
 # (leaf, composition with a padding) of each reading
-_SPLIT_MODEL = (_split_leaf, _split_then_padded)
 _MODELS = {
-    Category.PF: _SPLIT_MODEL,
-    Category.EF: _SPLIT_MODEL,
+    Category.PF: (_split_leaf_of(_PF_LEAVES, Category.PF), _split_then_padded),
+    Category.EF: (_split_leaf_of(_EF_LEAVES, Category.EF), _split_then_padded),
     Category.RB: (_rel_leaf, _rel_then_padded),
 }
 
@@ -259,8 +267,20 @@ def eval_term(t: ArrowTerm, category: Category | None = None) -> SemValue:
 def equal(
     f: ArrowTerm, g: ArrowTerm, category: Category | None = None
 ) -> bool:
-    """Decide derivable equality of two parallel same-category terms."""
-    return _same_value(f, g, resolve_category(f, g, category=category), {})
+    """Decide derivable equality of two parallel same-category terms.
+
+    Given a `category`, the evaluation walk checks the signature: a
+    generator of another signature raises there.  Only then are the terms
+    resolved, so that a signature error, which `resolve_category` words,
+    comes before any typing error of the walk.
+    """
+    if category is None:
+        return _same_value(f, g, resolve_category(f, g), {})
+    try:
+        return _same_value(f, g, category, {})
+    except Exception:
+        resolve_category(f, g, category=category)
+        raise
 
 
 def _same_value(f: ArrowTerm, g: ArrowTerm, category: Category, memo: dict) -> bool:

@@ -11,6 +11,16 @@ constructors: those keep terms in the canonical shape the printer and
 the structural round-trip rely on (`Pad` only immediately above a
 non-identity generator leaf).  Hand-built `Pad(...)` nodes around
 compositions or identities are legal but not canonical.
+
+The public builders check what they are given: `plus` types both
+arguments and checks the signature of the sum, and `union_term` types
+each argument once, builds the union, then checks its signature once.
+Builders that already know the widths of their parts take them instead
+of walking the parts: the private `_sum` and `_union` (used by
+`iota_term`, `normalform.iota_nf_term` and the relational catalog)
+neither type nor check, so their callers must pass correct types.
+`pad` walks the before spine of a composition with a loop, so a long
+chain does not exhaust the stack.
 """
 from __future__ import annotations
 
@@ -229,15 +239,22 @@ def pad(left: int, t: ArrowTerm, right: int) -> ArrowTerm:
         raise ValueError("padding must be non-negative")
     if left == 0 and right == 0:
         return t
-    match t:
-        case Id(n):
-            return Id(left + n + right)
-        case Pad(inner_left, body, inner_right):
-            return pad(left + inner_left, body, inner_right + right)
-        case Comp(after, before):
-            return Comp(pad(left, after, right), pad(left, before, right))
-        case _:
-            return Pad(left, t, right)
+    if isinstance(t, Comp):
+        # walk the before spine with a loop, so that a long chain does
+        # not recurse once per factor
+        afters = []
+        while isinstance(t, Comp):
+            afters.append(t.after)
+            t = t.before
+        term = pad(left, t, right)
+        for after in reversed(afters):
+            term = Comp(pad(left, after, right), term)
+        return term
+    if isinstance(t, Id):
+        return Id(left + t.n + right)
+    if isinstance(t, Pad):
+        return pad(left + t.left, t.body, t.right + right)
+    return Pad(left, t, right)
 
 
 def plus(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:
@@ -245,14 +262,17 @@ def plus(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:
 
     Identity blocks collapse into padding: plus(f, Id(0)) is f itself.
     """
-    f_type = type_of(f)
-    g_type = type_of(g)
-    result = compose_chain(
+    result = _sum(f, type_of(f), g, type_of(g))
+    category_of(result)  # reject mixed-signature sums
+    return result
+
+
+def _sum(f: ArrowTerm, f_type: TermType, g: ArrowTerm, g_type: TermType) -> ArrowTerm:
+    """`plus` of two terms of known types, with no typing or signature walk."""
+    return compose_chain(
         [pad(0, f, g_type.src), pad(f_type.tgt, g, 0)],
         f_type.src + g_type.src,
     )
-    category_of(result)  # reject mixed-signature sums
-    return result
 
 
 def compose_chain(factors: Sequence[ArrowTerm], width: int) -> ArrowTerm:
@@ -405,10 +425,9 @@ def iota_term(i: int, j: int, n: int, m: int) -> ArrowTerm:
     if not (0 <= i < n and 0 <= j < m):
         raise ValueError(f"pair ({i},{j}) out of bounds for {n}->{m}")
     rb = Category.RB
-    return plus(
-        plus(zero_term(i, j, rb), Id(1)),
-        zero_term(n - i - 1, m - j - 1, rb),
-    )
+    head = _sum(zero_term(i, j, rb), TermType(i, j), Id(1), TermType(1, 1))
+    tail = zero_term(n - i - 1, m - j - 1, rb)
+    return _sum(head, TermType(i + 1, j + 1), tail, TermType(n - i - 1, m - j - 1))
 
 
 def union_term(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:
@@ -419,7 +438,16 @@ def union_term(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:
         raise TermTypeError(
             f"union needs parallel arrows, got {f_type} and {g_type}"
         )
-    return Comp(NablaK(f_type.tgt), Comp(plus(f, g), DeltaK(f_type.src)))
+    union = _union(f, g, f_type)
+    forced_category(union)  # the fold beside a split-preorder generator raises
+    return union
+
+
+def _union(f: ArrowTerm, g: ArrowTerm, f_type: TermType) -> ArrowTerm:
+    """`union_term` of two arrows of the known type `f_type`, with no typing
+    or signature walk."""
+    n, m = f_type
+    return Comp(NablaK(m), Comp(_sum(f, f_type, g, f_type), DeltaK(n)))
 
 
 def _overline_factors(k: int, l: int, n: int, category: Category) -> list[ArrowTerm]:

@@ -1,6 +1,8 @@
 """Soundness and rewriting behaviour of the named axiom catalog."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,8 @@ from splitrel.catalog import (
     instances,
     instantiate,
 )
-from splitrel.dsl import parse
+from splitrel import terms
+from splitrel.dsl import parse, print_term
 from splitrel.semantics import equal
 from splitrel.terms import Category, Comp, H, HBar, Id, TermTypeError, pad
 
@@ -144,3 +147,46 @@ def test_catalog_json_round_trips(category):
         lhs = parse(entry["lhs"], category)
         rhs = parse(entry["rhs"], category)
         assert equal(lhs, rhs, category)
+
+
+def _pin_catalog():
+    # perfbench is not a package: load its pinning script by path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "pin_catalog.py"
+    spec = importlib.util.spec_from_file_location("pin_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instances_match_the_pinned_digests():
+    pin_catalog = _pin_catalog()
+    pins = json.loads(pin_catalog.PINS.read_text())
+    assert pins["max_param"] == 3
+    computed = {}
+    for category in Category:
+        for axiom in axiom_catalog(category):
+            digests = []
+            for params in instances(axiom, pins["max_param"]):
+                lhs, rhs = instantiate(axiom, params)
+                text = pin_catalog.digest(params, print_term(lhs), print_term(rhs))
+                digests.append(text)
+            computed[f"{category.name} {axiom.name}"] = "".join(sorted(digests))
+    assert computed.keys() == pins["axioms"].keys()
+    changed = [name for name in computed if computed[name] != pins["axioms"][name]]
+    assert changed == []
+
+
+def test_checking_an_instance_resolves_no_signature(count_calls):
+    sides = [
+        (category, instantiate(axiom, params))
+        for category in Category
+        for axiom in axiom_catalog(category)
+        for params in instances(axiom, max_param=1)
+    ]
+    forced = count_calls(terms, "forced_category")
+    assert all(equal(lhs, rhs, category) for category, (lhs, rhs) in sides)
+    assert forced == []
+    # without a category the sides are still resolved
+    category, (lhs, rhs) = sides[0]
+    assert equal(lhs, rhs)
+    assert forced == [(lhs,), (rhs,)]

@@ -247,26 +247,10 @@ def test_eq_on_different_types_is_a_precondition(capsys):
     assert (captured.out, captured.err) == ("", "cannot compare: 2->2 vs 0->1\n")
 
 
-def _count_calls(monkeypatch, module, name):
-    # every splitrel module that imported the function by name, and its
-    # home module, through which it recurses
-    original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "splitrel" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
-def test_parsed_terms_are_not_walked_again(capsys, monkeypatch):
+def test_parsed_terms_are_not_walked_again(capsys, count_calls):
     chain = " . ".join(f"pad({k % 7}, swap, {6 - k % 7})" for k in range(200))
-    typed = _count_calls(monkeypatch, terms, "type_of")
-    forced = _count_calls(monkeypatch, terms, "forced_category")
+    typed = count_calls(terms, "type_of")
+    forced = count_calls(terms, "forced_category")
     assert main(["eq", "--category", "PF", chain, chain]) == 0
     assert capsys.readouterr().out == "equal\n"
     assert main(["eval", "--category", "PF", chain]) == 0

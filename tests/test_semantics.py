@@ -277,6 +277,47 @@ def test_equal_requires_matching_types():
         equal(H(), HBar())
 
 
+_SIGNATURE_ERRORS = [
+    # a term from another signature than the one requested
+    (H(), H(), Category.EF, "term is PF but EF was requested"),
+    (HBar(), Swap(), Category.PF, "term is EF but PF was requested"),
+    (NablaK(1), NablaK(1), Category.PF, "term is RB but PF was requested"),
+    (Swap(), H(), Category.RB, "term is PF but RB was requested"),
+    # both bridges
+    (Comp(H(), HBar()), Id(2), Category.PF,
+     "term mixes the directed and undirected bridge generators"),
+    (H(), HBar(), Category.EF, "category mismatch: PF vs EF"),
+    # a neutral split-preorder generator under RB
+    (Unit(), Unit(), Category.RB,
+     "term uses split-preorder generators, not relational ones"),
+    (Comp(Counit(), Unit()), Id(0), Category.RB,
+     "term uses split-preorder generators, not relational ones"),
+    # ill-typed and in the wrong signature: the signature error wins
+    (Comp(HBar(), Comp(Swap(), Id(3))), Id(2), Category.PF,
+     "term is EF but PF was requested"),
+    (Id(2), Comp(Unit(), Comp(NablaK(1), Id(3))), Category.RB,
+     "term mixes relational and split-preorder generators"),
+    (Comp(Swap(), Id(3)), Id(3), Category.RB,
+     "term uses split-preorder generators, not relational ones"),
+]
+
+
+@pytest.mark.parametrize("f, g, category, message", _SIGNATURE_ERRORS)
+def test_equal_signature_error_messages_are_pinned(f, g, category, message):
+    with pytest.raises(TermTypeError) as raised:
+        equal(f, g, category)
+    assert str(raised.value) == message
+
+
+def test_equal_type_error_messages_are_pinned():
+    with pytest.raises(TermTypeError, match=r"^type mismatch: 1->1 vs 2->2$"):
+        equal(Id(1), Id(2), Category.PF)
+    with pytest.raises(
+        TermTypeError, match=r"^cannot compose 3->3 with 2->2: 3 != 2$"
+    ):
+        equal(Comp(H(), Id(3)), H(), Category.PF)
+
+
 def test_eval_strict_basics():
     assert eval_strict(Id(1)).pairs == frozenset(
         {(src(0), tgt(0)), (tgt(0), src(0))}

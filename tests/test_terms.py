@@ -1,9 +1,13 @@
 """Structural tests for the term language: typing, padding, builders."""
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from splitrel import terms
+from splitrel.fuzz import random_term
+from splitrel.normalform import IotaNF, iota_nf_term
 from splitrel.terms import (
     ArrowTerm,
     Category,
@@ -138,6 +142,49 @@ def test_pad_types():
     assert type_of(t) == TermType(3, 4)
 
 
+def _recursive_pad(left, t, right):
+    # the definition `pad` follows, one recursion per node
+    if left == 0 and right == 0:
+        return t
+    if isinstance(t, Id):
+        return Id(left + t.n + right)
+    if isinstance(t, Pad):
+        return _recursive_pad(left + t.left, t.body, t.right + right)
+    if isinstance(t, Comp):
+        return Comp(
+            _recursive_pad(left, t.after, right),
+            _recursive_pad(left, t.before, right),
+        )
+    return Pad(left, t, right)
+
+
+def test_pad_agrees_with_its_recursive_definition():
+    rng = random.Random(8)
+    for category in Category:
+        for _ in range(200):
+            t = random_term(rng, category, max_depth=5)
+            left, right = rng.randrange(3), rng.randrange(3)
+            assert pad(left, t, right) == _recursive_pad(left, t, right)
+    hand_built = Pad(1, Comp(Pad(0, H(), 1), Comp(Swap(), Id(2))), 0)
+    assert pad(2, hand_built, 1) == _recursive_pad(2, hand_built, 1)
+
+
+def test_pad_walks_a_long_chain_without_recursing():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    factors = [pad(k % 3, H(), 2 - k % 3) for k in range(depth)]
+    padded = pad(1, compose_chain(factors, 4), 2)
+    # walk the before spine with a loop: recursive `==` would overflow
+    seen = []
+    node = padded
+    while isinstance(node, Comp):
+        seen.append(node.after)
+        node = node.before
+    seen.append(node)
+    expected = [Pad(1 + k % 3, H(), 4 - k % 3) for k in reversed(range(depth))]
+    assert seen == expected
+
+
 # ------------------------------------------------------------------ plus
 
 
@@ -160,6 +207,23 @@ def test_plus_with_identities():
 def test_plus_rejects_mixed_signatures():
     with pytest.raises(TermTypeError):
         plus(H(), NablaK(1))
+
+
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        (H(), NablaK(1), "term mixes relational and split-preorder generators"),
+        (Swap(), UnitK(1), "term mixes relational and split-preorder generators"),
+        (H(), HBar(), "term mixes the directed and undirected bridge generators"),
+        # typing comes before the signature check
+        (Comp(Swap(), Id(3)), NablaK(1), "cannot compose 3->3 with 2->2: 3 != 2"),
+        (NablaK(1), Comp(H(), Id(1)), "cannot compose 1->1 with 2->2: 1 != 2"),
+    ],
+)
+def test_plus_error_messages_are_pinned(f, g, message):
+    with pytest.raises(TermTypeError) as raised:
+        plus(f, g)
+    assert str(raised.value) == message
 
 
 # ------------------------------------------------------------------ categories
@@ -347,6 +411,34 @@ def test_union_term_rejects_nonparallel():
         union_term(UnitK(1), UnitK(2))
 
 
+def test_union_term_rejects_split_preorder_arguments():
+    # the fold and co-fold of the union are relational
+    for f, g in [(H(), Swap()), (Swap(), Swap()), (HBar(), Id(2))]:
+        with pytest.raises(TermTypeError) as raised:
+            union_term(f, g)
+        assert str(raised.value) == (
+            "term mixes relational and split-preorder generators"
+        )
+
+
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        (UnitK(1), UnitK(2), "union needs parallel arrows, got 0->1 and 0->2"),
+        (H(), NablaK(1), "union needs parallel arrows, got 2->2 and 2->1"),
+        (Comp(Swap(), Id(3)), Id(3), "cannot compose 3->3 with 2->2: 3 != 2"),
+        (Id(2), Comp(NablaK(1), Id(1)), "cannot compose 1->1 with 2->1: 1 != 2"),
+        (NablaK(1), Swap(), "union needs parallel arrows, got 2->1 and 2->2"),
+        (UnitK(2), Comp(Swap(), UnitK(2)),
+         "term mixes relational and split-preorder generators"),
+    ],
+)
+def test_union_term_error_messages_are_pinned(f, g, message):
+    with pytest.raises(TermTypeError) as raised:
+        union_term(f, g)
+    assert str(raised.value) == message
+
+
 def test_tau_rb_types():
     assert type_of(tau_rb()) == TermType(2, 2)
     assert type_of(tau_rb_alt()) == TermType(2, 2)
@@ -428,3 +520,34 @@ def test_derived_rejects_bad_usage():
         derived("nabla-PF", 1)
     with pytest.raises(ValueError):
         derived("eta", 0, 1, 2, category=Category.PF)
+
+
+# ------------------------------------------------------------------ walks of the builders
+
+
+def test_iota_builders_neither_type_nor_resolve(count_calls):
+    full = IotaNF(3, 3, tuple((i, j) for i in range(3) for j in range(3)))
+    # the same terms from the checking builders
+    rb = Category.RB
+    singles = [
+        plus(plus(zero_term(i, j, rb), Id(1)), zero_term(2 - i, 2 - j, rb))
+        for i, j in full.pairs
+    ]
+    union = singles[-1]
+    for single in reversed(singles[:-1]):
+        union = union_term(single, union)
+    expected = [singles[5], union]
+    typed = count_calls(terms, "type_of")
+    kinds = count_calls(terms, "_generator_kinds")
+    built = [iota_term(1, 2, 3, 3), iota_nf_term(full)]
+    assert (len(typed), len(kinds)) == (0, 0)
+    assert built == expected
+    assert type_of(built[1]) == TermType(3, 3)
+
+
+def test_union_term_types_each_argument_once(count_calls):
+    f, g = iota_term(0, 1, 2, 2), union_term(iota_term(1, 0, 2, 2), Id(2))
+    typed = count_calls(terms, "type_of")
+    union = union_term(f, g)
+    assert typed == [(f,), (g,)]
+    assert union == Comp(NablaK(2), Comp(plus(f, g), DeltaK(2)))

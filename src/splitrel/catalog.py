@@ -1,19 +1,39 @@
 """Named equational axioms with enumeration, checking and rewriting.
 
 Every entry pairs a slug with a builder producing the two sides of the
-equation from integer parameters.  Concrete equations additionally take
-trailing ``lpad``/``rpad`` parameters so padded instances can be matched
-and rewritten in place; schema entries (those quantifying over a pool of
-sample arrows or over selections) manage their own parameter ranges.
+equation from integer parameters.
+
+The concrete axioms, whose only parameters are the trailing
+``lpad``/``rpad``, are equations in the term language of `dsl`, one
+``name: lhs = rhs`` line each.  An instance is the equation widened by
+``lpad`` and ``rpad`` untouched strands, so padded occurrences can be
+matched and rewritten in place.  The lines come in blocks, in catalog
+order: the symmetry core and the Frobenius block, shared by PF and EF;
+the `h` laws, the `down` laws and `h-tr` of PF; the `hbar` laws of EF.
+A word bound to a derived arrow of `terms` reads as that arrow in
+brackets: in PF `merge`, `split`, `down`, `up`, `upalt`, `mergedown` and
+`splitdown` are `nabla_pf`, `delta_pf`, `down_pf`, `up_pf`, `up_pf_alt`,
+`nabla_down_pf` and `delta_down_pf`; in EF `merge` and `split` are
+`nabla_ef` and `delta_ef`.  `dsl.parse` reads an axiom's two sides, in
+its block's signature, the first time the axiom is instantiated, and
+they are kept; importing the module, listing the catalogs and
+enumerating instances parse nothing.
+
+The parametric and schema axioms stay code: the pool, bridge and mask
+families, which range over sample arrows, strands or selections on their
+own; `h-via-nabla`, `h-def`, `hbar-def`, `hbar-eta` and `etabar-sym`,
+whose strand positions are parameters; and the whole RB catalog.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .dsl import print_term
+from .dsl import parse, print_term
 from .normalform import IotaNF, iota_nf_term
 from .semantics import equal
 from .terms import (
@@ -95,20 +115,6 @@ class Axiom:
     guard: Callable[..., bool] | None = None
     ranges: Callable[[int], Iterator[tuple[int, ...]]] | None = None
     padded: bool = False
-
-
-def _axiom(
-    name: str,
-    category: Category,
-    params: Sequence[str],
-    build: Callable[..., _Pair],
-    *,
-    guard: Callable[..., bool] | None = None,
-    ranges: Callable[[int], Iterator[tuple[int, ...]]] | None = None,
-    padded: bool = True,
-) -> Axiom:
-    public = tuple(params) + (("lpad", "rpad") if padded else ())
-    return Axiom(name, category, public, build, guard, ranges, padded)
 
 
 def instantiate(axiom: Axiom, params: Sequence[int] = ()) -> _Pair:
@@ -263,30 +269,6 @@ def _rewrite(
 # builder helpers
 
 
-def _chain(factors: Sequence[ArrowTerm], width: int) -> ArrowTerm:
-    return compose_chain(factors, width)
-
-
-def _sw(left: int, right: int) -> ArrowTerm:
-    return pad(left, Swap(), right)
-
-
-def _h(left: int, right: int) -> ArrowTerm:
-    return pad(left, H(), right)
-
-
-def _hb(left: int, right: int) -> ArrowTerm:
-    return pad(left, HBar(), right)
-
-
-def _un(left: int, right: int) -> ArrowTerm:
-    return pad(left, Unit(), right)
-
-
-def _co(left: int, right: int) -> ArrowTerm:
-    return pad(left, Counit(), right)
-
-
 def _pool_ranges(pool: Sequence[ArrowTerm]) -> Callable[[int], Iterator]:
     def gen(max_param: int) -> Iterator[tuple[int, ...]]:
         return ((i,) for i in range(len(pool)))
@@ -324,8 +306,8 @@ def _pool_family(
         xi, theta = _pick(gens, a), _pick(gens, b)
         p, q = type_of(xi)
         k, l = type_of(theta)
-        lhs = _chain([pad(0, xi, r + k), pad(q + r, theta, 0)], p + r + k)
-        rhs = _chain([pad(p + r, theta, 0), pad(0, xi, r + l)], p + r + k)
+        lhs = compose_chain([pad(0, xi, r + k), pad(q + r, theta, 0)], p + r + k)
+        rhs = compose_chain([pad(p + r, theta, 0), pad(0, xi, r + l)], p + r + k)
         return lhs, rhs
 
     def slide_ranges(max_param: int) -> Iterator[tuple[int, ...]]:
@@ -333,87 +315,9 @@ def _pool_family(
         return itertools.product(range(count), range(count), range(max_param + 1))
 
     return [
-        _axiom("cat-1-left", category, ("f",), cat_left,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("cat-1-right", category, ("f",), cat_right,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("fl", category, ("xi", "theta", "r"), slide,
-               ranges=slide_ranges, padded=False),
-    ]
-
-
-def _core_family(category: Category) -> list[Axiom]:
-    """Plain symmetry equations of the split signatures."""
-    return [
-        _axiom("tau-tau", category, (),
-               lambda: (Comp(Swap(), Swap()), Id(2))),
-        _axiom("tau-yb", category, (), lambda: (
-            _chain([_sw(1, 0), _sw(0, 1), _sw(1, 0)], 3),
-            _chain([_sw(0, 1), _sw(1, 0), _sw(0, 1)], 3),
-        )),
-        _axiom("tau-unit", category, (), lambda: (
-            _chain([_un(0, 1), Swap()], 1), _un(1, 0),
-        )),
-        _axiom("tau-counit", category, (), lambda: (
-            _chain([Swap(), _co(0, 1)], 2), _co(1, 0),
-        )),
-        _axiom("zero-zero", category, (),
-               lambda: (Comp(Counit(), Unit()), Id(0))),
-    ]
-
-
-def _monoid_family(
-    category: Category,
-    merge: Callable[[], ArrowTerm],
-    split: Callable[[], ArrowTerm],
-) -> list[Axiom]:
-    """The merge/split monoid-comonoid block with its symmetries."""
-    return [
-        _axiom("nabla-assoc", category, (), lambda: (
-            _chain([pad(0, merge(), 1), merge()], 3),
-            _chain([pad(1, merge(), 0), merge()], 3),
-        )),
-        _axiom("nabla-unit-left", category, (), lambda: (
-            _chain([_un(0, 1), merge()], 1), Id(1),
-        )),
-        _axiom("nabla-unit-right", category, (), lambda: (
-            _chain([_un(1, 0), merge()], 1), Id(1),
-        )),
-        _axiom("delta-assoc", category, (), lambda: (
-            _chain([split(), pad(0, split(), 1)], 1),
-            _chain([split(), pad(1, split(), 0)], 1),
-        )),
-        _axiom("delta-counit-left", category, (), lambda: (
-            _chain([split(), _co(0, 1)], 1), Id(1),
-        )),
-        _axiom("delta-counit-right", category, (), lambda: (
-            _chain([split(), _co(1, 0)], 1), Id(1),
-        )),
-        _axiom("frobenius-left", category, (), lambda: (
-            _chain([pad(0, split(), 1), pad(1, merge(), 0)], 2),
-            _chain([merge(), split()], 2),
-        )),
-        _axiom("frobenius-right", category, (), lambda: (
-            _chain([pad(1, split(), 0), pad(0, merge(), 1)], 2),
-            _chain([merge(), split()], 2),
-        )),
-        _axiom("nabla-tau", category, (), lambda: (
-            _chain([Swap(), merge()], 2), merge(),
-        )),
-        _axiom("tau-delta", category, (), lambda: (
-            _chain([split(), Swap()], 1), split(),
-        )),
-        _axiom("nabla-swap", category, (), lambda: (
-            _chain([pad(0, merge(), 1), Swap()], 3),
-            _chain([_sw(1, 0), _sw(0, 1), pad(1, merge(), 0)], 3),
-        )),
-        _axiom("delta-swap", category, (), lambda: (
-            _chain([Swap(), pad(0, split(), 1)], 2),
-            _chain([pad(1, split(), 0), _sw(0, 1), _sw(1, 0)], 2),
-        )),
-        _axiom("separability", category, (), lambda: (
-            _chain([split(), merge()], 1), Id(1),
-        )),
+        Axiom("cat-1-left", category, ("f",), cat_left, ranges=_pool_ranges(pool)),
+        Axiom("cat-1-right", category, ("f",), cat_right, ranges=_pool_ranges(pool)),
+        Axiom("fl", category, ("xi", "theta", "r"), slide, ranges=slide_ranges),
     ]
 
 
@@ -437,7 +341,7 @@ def _bridge_family(
     def tau_def(n: int, m: int) -> _Pair:
         width = n + 3 + m
         lhs = pad(n, Swap(), m)
-        rhs = _chain(
+        rhs = compose_chain(
             [
                 pad(n + 2, Unit(), m),
                 e(n, n + 2, width),
@@ -450,8 +354,8 @@ def _bridge_family(
 
     def eta_unit(i: int, j: int, p: int, q: int) -> _Pair:
         width = p + 1 + q
-        lhs = _chain([pad(p, Unit(), q), e(i, j, width)], width - 1)
-        rhs = _chain(
+        lhs = compose_chain([pad(p, Unit(), q), e(i, j, width)], width - 1)
+        rhs = compose_chain(
             [e(drop(i, p), drop(j, p), width - 1), pad(p, Unit(), q)],
             width - 1,
         )
@@ -459,8 +363,8 @@ def _bridge_family(
 
     def eta_counit(i: int, j: int, p: int, q: int) -> _Pair:
         width = p + 1 + q
-        lhs = _chain([e(i, j, width), pad(p, Counit(), q)], width)
-        rhs = _chain(
+        lhs = compose_chain([e(i, j, width), pad(p, Counit(), q)], width)
+        rhs = compose_chain(
             [pad(p, Counit(), q), e(drop(i, p), drop(j, p), width - 1)],
             width,
         )
@@ -491,8 +395,8 @@ def _bridge_family(
                         yield (i, j, width)
 
     def eta_perm(i: int, j: int, k: int, l: int, width: int) -> _Pair:
-        lhs = _chain([e(k, l, width), e(i, j, width)], width)
-        rhs = _chain([e(i, j, width), e(k, l, width)], width)
+        lhs = compose_chain([e(k, l, width), e(i, j, width)], width)
+        rhs = compose_chain([e(i, j, width), e(k, l, width)], width)
         return lhs, rhs
 
     def perm_ranges(max_param: int) -> Iterator[tuple[int, ...]]:
@@ -523,7 +427,7 @@ def _bridge_family(
         factors += [e(p, r, width) for r in sorted(sinks, reverse=True)]
         factors += [e(m, p, width) for m in sorted(sources, reverse=True)]
         factors.append(pad(p, Counit(), q))
-        lhs = _chain(factors, p + q)
+        lhs = compose_chain(factors, p + q)
         pairs = sorted(
             {
                 (drop(m, p), drop(r, p))
@@ -532,7 +436,7 @@ def _bridge_family(
                 if drop(m, p) != drop(r, p)
             }
         )
-        rhs = _chain(
+        rhs = compose_chain(
             [e(a, b, p + q) for a, b in sorted(pairs, reverse=True)],
             p + q,
         )
@@ -551,7 +455,7 @@ def _bridge_family(
         factors: list[ArrowTerm] = [pad(p, Unit(), q)]
         factors += [e(m, p, width) for m in sorted(sources, reverse=True)]
         factors.append(pad(p, Counit(), q))
-        return _chain(factors, p + q), Id(p + q)
+        return compose_chain(factors, p + q), Id(p + q)
 
     def eta_0l(p: int, q: int, outof: int) -> _Pair:
         width = p + 1 + q
@@ -559,7 +463,7 @@ def _bridge_family(
         factors: list[ArrowTerm] = [pad(p, Unit(), q)]
         factors += [e(p, r, width) for r in sorted(sinks, reverse=True)]
         factors.append(pad(p, Counit(), q))
-        return _chain(factors, p + q), Id(p + q)
+        return compose_chain(factors, p + q), Id(p + q)
 
     def sel_guard(p: int, q: int, mask: int) -> bool:
         return not symmetric or mask.bit_count() == 1
@@ -572,8 +476,8 @@ def _bridge_family(
                         yield (p, total - p, mask)
 
     def eta_tr(m: int, p: int, r: int, width: int) -> _Pair:
-        lhs = _chain([e(p, r, width), e(m, p, width)], width)
-        rhs = _chain([e(m, r, width), e(p, r, width), e(m, p, width)], width)
+        lhs = compose_chain([e(p, r, width), e(m, p, width)], width)
+        rhs = compose_chain([e(m, r, width), e(p, r, width), e(m, p, width)], width)
         return lhs, rhs
 
     def tr_ranges(max_param: int) -> Iterator[tuple[int, ...]]:
@@ -588,26 +492,136 @@ def _bridge_family(
         return ((n,) for n in range(1, max_param + 1))
 
     return [
-        _axiom("tau-def", category, ("n", "m"), tau_def, padded=False),
-        _axiom("eta-unit", category, ("i", "j", "p", "q"), eta_unit,
-               guard=shift_guard, ranges=shift_ranges, padded=False),
-        _axiom("eta-counit", category, ("i", "j", "p", "q"), eta_counit,
-               guard=shift_guard, ranges=shift_ranges, padded=False),
-        _axiom("eta-idemp", category, ("i", "j", "n"), eta_idemp,
-               ranges=idemp_ranges, padded=False),
-        _axiom("eta-perm", category, ("i", "j", "k", "l", "n"), eta_perm,
-               ranges=perm_ranges, padded=False),
-        _axiom("eta-kl", category, ("p", "q", "into", "outof"), eta_kl,
-               ranges=kl_ranges, padded=False),
-        _axiom("eta-k-zero", category, ("p", "q", "into"), eta_k0,
-               guard=sel_guard, ranges=sel_ranges, padded=False),
-        _axiom("eta-zero-l", category, ("p", "q", "outof"), eta_0l,
-               guard=sel_guard, ranges=sel_ranges, padded=False),
-        _axiom("eta-tr", category, ("m", "p", "r", "n"), eta_tr,
-               guard=lambda m, p, r, n: len({m, p, r}) == 3 and max(m, p, r) < n,
-               ranges=tr_ranges, padded=False),
-        _axiom("natural-id", category, ("n",), natural,
-               ranges=natural_ranges, padded=False),
+        Axiom("tau-def", category, ("n", "m"), tau_def),
+        Axiom("eta-unit", category, ("i", "j", "p", "q"), eta_unit,
+              guard=shift_guard, ranges=shift_ranges),
+        Axiom("eta-counit", category, ("i", "j", "p", "q"), eta_counit,
+              guard=shift_guard, ranges=shift_ranges),
+        Axiom("eta-idemp", category, ("i", "j", "n"), eta_idemp, ranges=idemp_ranges),
+        Axiom("eta-perm", category, ("i", "j", "k", "l", "n"), eta_perm,
+              ranges=perm_ranges),
+        Axiom("eta-kl", category, ("p", "q", "into", "outof"), eta_kl,
+              ranges=kl_ranges),
+        Axiom("eta-k-zero", category, ("p", "q", "into"), eta_k0,
+              guard=sel_guard, ranges=sel_ranges),
+        Axiom("eta-zero-l", category, ("p", "q", "outof"), eta_0l,
+              guard=sel_guard, ranges=sel_ranges),
+        Axiom("eta-tr", category, ("m", "p", "r", "n"), eta_tr,
+              guard=lambda m, p, r, n: len({m, p, r}) == 3 and max(m, p, r) < n,
+              ranges=tr_ranges),
+        Axiom("natural-id", category, ("n",), natural, ranges=natural_ranges),
+    ]
+
+
+# --------------------------------------------------------------------
+# concrete equations
+
+
+_SYMMETRY = """
+tau-tau: swap . swap = id(2)
+tau-yb: pad(1, swap, 0) . pad(0, swap, 1) . pad(1, swap, 0) = pad(0, swap, 1) . pad(1, swap, 0) . pad(0, swap, 1)
+tau-unit: swap . pad(0, unit, 1) = pad(1, unit, 0)
+tau-counit: pad(0, counit, 1) . swap = pad(1, counit, 0)
+zero-zero: counit . unit = id(0)
+"""
+
+_FROBENIUS = """
+nabla-assoc: merge . pad(0, merge, 1) = merge . pad(1, merge, 0)
+nabla-unit-left: merge . pad(0, unit, 1) = id(1)
+nabla-unit-right: merge . pad(1, unit, 0) = id(1)
+delta-assoc: pad(0, split, 1) . split = pad(1, split, 0) . split
+delta-counit-left: pad(0, counit, 1) . split = id(1)
+delta-counit-right: pad(1, counit, 0) . split = id(1)
+frobenius-left: pad(1, merge, 0) . pad(0, split, 1) = split . merge
+frobenius-right: pad(0, merge, 1) . pad(1, split, 0) = split . merge
+nabla-tau: merge . swap = merge
+tau-delta: swap . split = split
+nabla-swap: swap . pad(0, merge, 1) = pad(1, merge, 0) . pad(0, swap, 1) . pad(1, swap, 0)
+delta-swap: pad(0, split, 1) . swap = pad(1, swap, 0) . pad(0, swap, 1) . pad(1, split, 0)
+separability: merge . split = id(1)
+"""
+
+_H_LAWS = """
+h-idemp: h . h = h
+h-yb: pad(1, swap, 0) . pad(0, h, 1) . pad(1, swap, 0) = pad(0, swap, 1) . pad(1, h, 0) . pad(0, swap, 1)
+h-com-left: swap . h . swap . h = h . swap . h
+h-com-right: h . swap . h . swap = h . swap . h
+h-bond: pad(0, counit, 1) . h . swap . h . pad(0, unit, 1) = id(1)
+h-bond-alt: pad(1, counit, 0) . h . swap . h . pad(1, unit, 0) = id(1)
+hh: pad(1, h, 0) . pad(0, h, 1) = pad(0, h, 1) . pad(1, h, 0)
+hh-in: pad(0, swap, 1) . pad(1, h, 0) . pad(0, swap, 1) . pad(1, h, 0) = pad(1, h, 0) . pad(0, swap, 1) . pad(1, h, 0) . pad(0, swap, 1)
+hh-out: pad(1, swap, 0) . pad(0, h, 1) . pad(1, swap, 0) . pad(0, h, 1) = pad(0, h, 1) . pad(1, swap, 0) . pad(0, h, 1) . pad(1, swap, 0)
+h-two-zero: pad(2, counit, 0) . pad(1, h, 0) . pad(0, swap, 1) . pad(1, h, 0) . pad(2, unit, 0) = swap
+h-zero-two: pad(0, counit, 2) . pad(0, h, 1) . pad(1, swap, 0) . pad(0, h, 1) . pad(0, unit, 2) = swap
+h-two-two: pad(2, counit, 2) . pad(2, h, 1) . pad(1, h, 2) . pad(3, swap, 0) . pad(0, swap, 3) . pad(2, h, 1) . pad(1, h, 2) . pad(2, unit, 2) = pad(1, h, 1) . pad(2, swap, 0) . pad(1, h, 1) . pad(2, swap, 0) . pad(0, swap, 2) . pad(1, h, 1) . pad(2, swap, 0) . pad(1, h, 1)
+"""
+
+_DOWN_LAWS = """
+down-idemp: down . down = down
+down-tau: swap . pad(0, down, 1) = pad(1, down, 0) . swap
+up-alt: up = upalt
+up-down: merge . pad(1, down, 0) . pad(0, up, 1) . split = id(1)
+down-two-zero: counit . mergedown = counit . pad(1, counit, 0)
+down-zero-two: splitdown . unit = pad(1, unit, 0) . unit
+down-two-two: splitdown . mergedown = pad(1, mergedown, 0) . pad(0, mergedown, 2) . pad(1, swap, 1) . pad(2, splitdown, 0) . pad(0, splitdown, 1)
+down-separability: mergedown . splitdown = down
+down-two-one: down . mergedown = mergedown
+down-one-two: splitdown . down = splitdown
+down-zero-one: down . unit = unit
+down-one-zero: counit . down = counit
+nabla-circ: merge = merge . pad(1, down . merge . pad(0, down, 1), 0) . pad(0, split, 1)
+"""
+
+_H_TR = """
+h-tr: pad(0, h, 1) . pad(1, h, 0) = pad(0, h, 1) . pad(1, h, 0) . eta(0, 2, 3)
+"""
+
+_HBAR_LAWS = """
+hbar-idemp: hbar . hbar = hbar
+hbar-yb: pad(1, swap, 0) . pad(0, hbar, 1) . pad(1, swap, 0) = pad(0, swap, 1) . pad(1, hbar, 0) . pad(0, swap, 1)
+hbar-com-left: swap . hbar = hbar
+hbar-com-right: hbar . swap = hbar
+hbar-bond: pad(0, counit, 1) . hbar . pad(0, unit, 1) = id(1)
+hbar-bond-alt: pad(1, counit, 0) . hbar . pad(1, unit, 0) = id(1)
+hbar-hbar: pad(1, hbar, 0) . pad(0, hbar, 1) = pad(0, hbar, 1) . pad(1, hbar, 0)
+nabla-consistency: merge = pad(0, counit, 1) . split . merge
+delta-consistency: split = split . merge . pad(0, unit, 1)
+"""
+
+_PF_WORDS: dict[str, Callable[[], ArrowTerm]] = {
+    "merge": nabla_pf,
+    "split": delta_pf,
+    "down": down_pf,
+    "up": up_pf,
+    "upalt": up_pf_alt,
+    "mergedown": nabla_down_pf,
+    "splitdown": delta_down_pf,
+}
+
+_EF_WORDS: dict[str, Callable[[], ArrowTerm]] = {"merge": nabla_ef, "split": delta_ef}
+
+
+def _equations(
+    category: Category, words: dict[str, Callable[[], ArrowTerm]], *tables: str
+) -> list[Axiom]:
+    """A padded axiom for each line of `tables`, its sides parsed in
+    `category` when it is first instantiated."""
+
+    def read(side: str) -> ArrowTerm:
+        def arrow(word: re.Match) -> str:
+            bound = words.get(word[0])
+            return word[0] if bound is None else f"({print_term(bound())})"
+
+        return parse(re.sub("[a-z]+", arrow, side), category)
+
+    def sides(equation: str) -> Callable[[], _Pair]:
+        lhs, rhs = equation.split(" = ")
+        return functools.cache(lambda: (read(lhs), read(rhs)))
+
+    lines = [line for table in tables for line in table.strip().splitlines()]
+    return [
+        Axiom(name, category, ("lpad", "rpad"), sides(equation), padded=True)
+        for name, equation in (line.split(": ") for line in lines)
     ]
 
 
@@ -635,156 +649,19 @@ _PF_GENS: tuple[ArrowTerm, ...] = (Unit(), Counit(), Swap(), H())
 
 def _pf_axioms() -> list[Axiom]:
     pf = Category.PF
-    axioms = _pool_family(pf, _PF_POOL, _PF_GENS) + _core_family(pf)
+    axioms = _pool_family(pf, _PF_POOL, _PF_GENS)
+    axioms += _equations(pf, _PF_WORDS, _SYMMETRY, _H_LAWS, _FROBENIUS, _DOWN_LAWS)
     axioms += [
-        _axiom("h-idemp", pf, (), lambda: (Comp(H(), H()), H())),
-        _axiom("h-yb", pf, (), lambda: (
-            _chain([_sw(1, 0), _h(0, 1), _sw(1, 0)], 3),
-            _chain([_sw(0, 1), _h(1, 0), _sw(0, 1)], 3),
-        )),
-        _axiom("h-com-left", pf, (), lambda: (
-            _chain([H(), Swap(), H(), Swap()], 2),
-            _chain([H(), Swap(), H()], 2),
-        )),
-        _axiom("h-com-right", pf, (), lambda: (
-            _chain([Swap(), H(), Swap(), H()], 2),
-            _chain([H(), Swap(), H()], 2),
-        )),
-        _axiom("h-bond", pf, (), lambda: (
-            _chain([_un(0, 1), H(), Swap(), H(), _co(0, 1)], 1), Id(1),
-        )),
-        _axiom("h-bond-alt", pf, (), lambda: (
-            _chain([_un(1, 0), H(), Swap(), H(), _co(1, 0)], 1), Id(1),
-        )),
-        _axiom("hh", pf, (), lambda: (
-            _chain([_h(0, 1), _h(1, 0)], 3),
-            _chain([_h(1, 0), _h(0, 1)], 3),
-        )),
-        _axiom("hh-in", pf, (), lambda: (
-            _chain([_h(1, 0), _sw(0, 1), _h(1, 0), _sw(0, 1)], 3),
-            _chain([_sw(0, 1), _h(1, 0), _sw(0, 1), _h(1, 0)], 3),
-        )),
-        _axiom("hh-out", pf, (), lambda: (
-            _chain([_h(0, 1), _sw(1, 0), _h(0, 1), _sw(1, 0)], 3),
-            _chain([_sw(1, 0), _h(0, 1), _sw(1, 0), _h(0, 1)], 3),
-        )),
-        _axiom("h-two-zero", pf, (), lambda: (
-            _chain([_un(2, 0), _h(1, 0), _sw(0, 1), _h(1, 0), _co(2, 0)], 2),
-            Swap(),
-        )),
-        _axiom("h-zero-two", pf, (), lambda: (
-            _chain([_un(0, 2), _h(0, 1), _sw(1, 0), _h(0, 1), _co(0, 2)], 2),
-            Swap(),
-        )),
-        _axiom("h-two-two", pf, (), lambda: (
-            _chain(
-                [
-                    _un(2, 2),
-                    _h(1, 2), _h(2, 1),
-                    _sw(0, 3), _sw(3, 0),
-                    _h(1, 2), _h(2, 1),
-                    _co(2, 2),
-                ],
-                4,
-            ),
-            _chain(
-                [
-                    _h(1, 1), _sw(2, 0), _h(1, 1), _sw(0, 2),
-                    _sw(2, 0), _h(1, 1), _sw(2, 0), _h(1, 1),
-                ],
-                4,
-            ),
-        )),
-    ]
-    axioms += _monoid_family(pf, nabla_pf, delta_pf)
-    down = down_pf
-    axioms += [
-        _axiom("down-idemp", pf, (), lambda: (
-            Comp(down(), down()), down(),
-        )),
-        _axiom("down-tau", pf, (), lambda: (
-            _chain([pad(0, down(), 1), Swap()], 2),
-            _chain([Swap(), pad(1, down(), 0)], 2),
-        )),
-        _axiom("up-alt", pf, (), lambda: (up_pf(), up_pf_alt())),
-        _axiom("up-down", pf, (), lambda: (
-            _chain(
-                [
-                    delta_pf(),
-                    pad(0, up_pf(), 1),
-                    pad(1, down(), 0),
-                    nabla_pf(),
-                ],
-                1,
-            ),
-            Id(1),
-        )),
-        _axiom("down-two-zero", pf, (), lambda: (
-            _chain([nabla_down_pf(), Counit()], 2),
-            _chain([_co(1, 0), Counit()], 2),
-        )),
-        _axiom("down-zero-two", pf, (), lambda: (
-            _chain([Unit(), delta_down_pf()], 0),
-            _chain([Unit(), _un(1, 0)], 0),
-        )),
-        _axiom("down-two-two", pf, (), lambda: (
-            _chain([nabla_down_pf(), delta_down_pf()], 2),
-            _chain(
-                [
-                    pad(0, delta_down_pf(), 1),
-                    pad(2, delta_down_pf(), 0),
-                    _sw(1, 1),
-                    pad(0, nabla_down_pf(), 2),
-                    pad(1, nabla_down_pf(), 0),
-                ],
-                2,
-            ),
-        )),
-        _axiom("down-separability", pf, (), lambda: (
-            _chain([delta_down_pf(), nabla_down_pf()], 1), down(),
-        )),
-        _axiom("down-two-one", pf, (), lambda: (
-            _chain([nabla_down_pf(), down()], 2), nabla_down_pf(),
-        )),
-        _axiom("down-one-two", pf, (), lambda: (
-            _chain([down(), delta_down_pf()], 1), delta_down_pf(),
-        )),
-        _axiom("down-zero-one", pf, (), lambda: (
-            _chain([Unit(), down()], 0), Unit(),
-        )),
-        _axiom("down-one-zero", pf, (), lambda: (
-            _chain([down(), Counit()], 1), Counit(),
-        )),
-        _axiom("nabla-circ", pf, (), lambda: (
-            nabla_pf(),
-            _chain(
-                [
-                    pad(0, delta_pf(), 1),
-                    pad(
-                        1,
-                        _chain([pad(0, down(), 1), nabla_pf(), down()], 2),
-                        0,
-                    ),
-                    nabla_pf(),
-                ],
-                2,
-            ),
-        )),
-        _axiom(
+        Axiom(
             "h-via-nabla", pf, ("n", "m"),
             lambda n, m: (pad(n, H(), m), h_via_nabla(n, m)),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "h-def", pf, ("n", "m"),
             lambda n, m: (pad(n, H(), m), eta_term(n, n + 1, n + 2 + m)),
-            padded=False,
         ),
-        _axiom("h-tr", pf, (), lambda: (
-            _chain([_h(1, 0), _h(0, 1)], 3),
-            _chain([eta_term(0, 2, 3), _h(1, 0), _h(0, 1)], 3),
-        )),
     ]
+    axioms += _equations(pf, _PF_WORDS, _H_TR)
     axioms += _bridge_family(pf, eta_term)
     return axioms
 
@@ -812,52 +689,22 @@ _EF_GENS: tuple[ArrowTerm, ...] = (Unit(), Counit(), Swap(), HBar())
 
 def _ef_axioms() -> list[Axiom]:
     ef = Category.EF
-    axioms = _pool_family(ef, _EF_POOL, _EF_GENS) + _core_family(ef)
+    axioms = _pool_family(ef, _EF_POOL, _EF_GENS)
+    axioms += _equations(ef, _EF_WORDS, _SYMMETRY, _HBAR_LAWS)
     axioms += [
-        _axiom("hbar-idemp", ef, (), lambda: (Comp(HBar(), HBar()), HBar())),
-        _axiom("hbar-yb", ef, (), lambda: (
-            _chain([_sw(1, 0), _hb(0, 1), _sw(1, 0)], 3),
-            _chain([_sw(0, 1), _hb(1, 0), _sw(0, 1)], 3),
-        )),
-        _axiom("hbar-com-left", ef, (), lambda: (
-            Comp(Swap(), HBar()), HBar(),
-        )),
-        _axiom("hbar-com-right", ef, (), lambda: (
-            Comp(HBar(), Swap()), HBar(),
-        )),
-        _axiom("hbar-bond", ef, (), lambda: (
-            _chain([_un(0, 1), HBar(), _co(0, 1)], 1), Id(1),
-        )),
-        _axiom("hbar-bond-alt", ef, (), lambda: (
-            _chain([_un(1, 0), HBar(), _co(1, 0)], 1), Id(1),
-        )),
-        _axiom("hbar-hbar", ef, (), lambda: (
-            _chain([_hb(0, 1), _hb(1, 0)], 3),
-            _chain([_hb(1, 0), _hb(0, 1)], 3),
-        )),
-        _axiom("nabla-consistency", ef, (), lambda: (
-            nabla_ef(),
-            _chain([nabla_ef(), delta_ef(), _co(0, 1)], 2),
-        )),
-        _axiom("delta-consistency", ef, (), lambda: (
-            delta_ef(),
-            _chain([_un(0, 1), nabla_ef(), delta_ef()], 1),
-        )),
-        _axiom(
+        Axiom(
             "hbar-def", ef, ("n", "m"),
             lambda n, m: (
                 pad(n, HBar(), m),
-                _chain(
+                compose_chain(
                     [pad(n, nabla_ef(), m), pad(n, delta_ef(), m)],
                     n + 2 + m,
                 ),
             ),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "hbar-eta", ef, ("n", "m"),
             lambda n, m: (pad(n, HBar(), m), etabar_term(n, n + 1, n + 2 + m)),
-            padded=False,
         ),
     ]
 
@@ -870,11 +717,8 @@ def _ef_axioms() -> list[Axiom]:
                 for j in range(i + 1, width):
                     yield (i, j, width)
 
-    axioms.append(
-        _axiom("etabar-sym", ef, ("i", "j", "n"), sym,
-               ranges=sym_ranges, padded=False)
-    )
-    axioms += _monoid_family(ef, nabla_ef, delta_ef)
+    axioms.append(Axiom("etabar-sym", ef, ("i", "j", "n"), sym, ranges=sym_ranges))
+    axioms += _equations(ef, _EF_WORDS, _FROBENIUS)
     axioms += _bridge_family(ef, etabar_term)
     return axioms
 
@@ -929,39 +773,39 @@ def _rb_axioms() -> list[Axiom]:
     def nabla_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = f_type = type_of(f)
-        lhs = _chain([NablaK(n), f], 2 * n)
-        rhs = _chain([_sum(f, f_type, f, f_type), NablaK(m)], 2 * n)
+        lhs = compose_chain([NablaK(n), f], 2 * n)
+        rhs = compose_chain([_sum(f, f_type, f, f_type), NablaK(m)], 2 * n)
         return lhs, rhs
 
     def delta_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = f_type = type_of(f)
-        lhs = _chain([f, DeltaK(m)], n)
-        rhs = _chain([DeltaK(n), _sum(f, f_type, f, f_type)], n)
+        lhs = compose_chain([f, DeltaK(m)], n)
+        rhs = compose_chain([DeltaK(n), _sum(f, f_type, f, f_type)], n)
         return lhs, rhs
 
     def unit_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = type_of(f)
-        return _chain([UnitK(n), f], 0), UnitK(m)
+        return compose_chain([UnitK(n), f], 0), UnitK(m)
 
     def counit_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = type_of(f)
-        return _chain([f, CounitK(m)], n), CounitK(n)
+        return compose_chain([f, CounitK(m)], n), CounitK(n)
 
     def acute_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = type_of(f)
-        lhs = _chain([tau_acute(n), pad(1, f, 0)], n + 1)
-        rhs = _chain([pad(0, f, 1), tau_acute(m)], n + 1)
+        lhs = compose_chain([tau_acute(n), pad(1, f, 0)], n + 1)
+        rhs = compose_chain([pad(0, f, 1), tau_acute(m)], n + 1)
         return lhs, rhs
 
     def grave_nat(i: int) -> _Pair:
         f = _pick(pool, i)
         n, m = type_of(f)
-        lhs = _chain([tau_grave(n), pad(0, f, 1)], n + 1)
-        rhs = _chain([pad(1, f, 0), tau_grave(m)], n + 1)
+        lhs = compose_chain([tau_grave(n), pad(0, f, 1)], n + 1)
+        rhs = compose_chain([pad(1, f, 0), tau_grave(m)], n + 1)
         return lhs, rhs
 
     def unit_def(n: int, k: int, m: int) -> _Pair:
@@ -982,7 +826,7 @@ def _rb_axioms() -> list[Axiom]:
         return Id(total), iota_nf_term(IotaNF(total, total, diagonal))
 
     def iota_comp(n: int, m: int, p: int, q: int, k: int, l: int, r: int) -> _Pair:
-        lhs = _chain([iota_term(n, m, p, q), iota_term(k, l, q, r)], p)
+        lhs = compose_chain([iota_term(n, m, p, q), iota_term(k, l, q, r)], p)
         if m == k:
             return lhs, iota_term(n, l, p, r)
         return lhs, zero_term(p, r, rb)
@@ -999,7 +843,7 @@ def _rb_axioms() -> list[Axiom]:
                                     yield (n, m, p, q, k, l, r)
 
     def iota_zero_left(n: int, m: int, p: int, q: int, r: int) -> _Pair:
-        lhs = _chain([iota_term(n, m, p, q), zero_term(q, r, rb)], p)
+        lhs = compose_chain([iota_term(n, m, p, q), zero_term(q, r, rb)], p)
         return lhs, zero_term(p, r, rb)
 
     def zero_left_ranges(max_param: int) -> Iterator[tuple[int, ...]]:
@@ -1012,7 +856,7 @@ def _rb_axioms() -> list[Axiom]:
                             yield (n, m, p, q, r)
 
     def iota_zero_right(k: int, l: int, p: int, q: int, r: int) -> _Pair:
-        lhs = _chain([zero_term(p, q, rb), iota_term(k, l, q, r)], p)
+        lhs = compose_chain([zero_term(p, q, rb), iota_term(k, l, q, r)], p)
         return lhs, zero_term(p, r, rb)
 
     def zero_right_ranges(max_param: int) -> Iterator[tuple[int, ...]]:
@@ -1025,28 +869,22 @@ def _rb_axioms() -> list[Axiom]:
                             yield (k, l, p, q, r)
 
     return _pool_family(rb, pool, _RB_GENS) + [
-        _axiom("nabla-nat", rb, ("f",), nabla_nat,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("delta-nat", rb, ("f",), delta_nat,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("unit-nat", rb, ("f",), unit_nat,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("counit-nat", rb, ("f",), counit_nat,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom(
+        Axiom("nabla-nat", rb, ("f",), nabla_nat, ranges=_pool_ranges(pool)),
+        Axiom("delta-nat", rb, ("f",), delta_nat, ranges=_pool_ranges(pool)),
+        Axiom("unit-nat", rb, ("f",), unit_nat, ranges=_pool_ranges(pool)),
+        Axiom("counit-nat", rb, ("f",), counit_nat, ranges=_pool_ranges(pool)),
+        Axiom(
             "nabla-unit-1", rb, ("k",),
-            lambda k: (_chain([pad(k, UnitK(k), 0), NablaK(k)], k), Id(k)),
-            padded=False,
+            lambda k: (compose_chain([pad(k, UnitK(k), 0), NablaK(k)], k), Id(k)),
         ),
-        _axiom(
+        Axiom(
             "nabla-unit-2", rb, ("k",),
-            lambda k: (_chain([pad(0, UnitK(k), k), NablaK(k)], k), Id(k)),
-            padded=False,
+            lambda k: (compose_chain([pad(0, UnitK(k), k), NablaK(k)], k), Id(k)),
         ),
-        _axiom(
+        Axiom(
             "nabla-unit-12", rb, ("k", "l"),
             lambda k, l: (
-                _chain(
+                compose_chain(
                     [
                         plus(pad(k, UnitK(l), 0), pad(0, UnitK(k), l)),
                         NablaK(k + l),
@@ -1055,22 +893,19 @@ def _rb_axioms() -> list[Axiom]:
                 ),
                 Id(k + l),
             ),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "delta-counit-1", rb, ("k",),
-            lambda k: (_chain([DeltaK(k), pad(k, CounitK(k), 0)], k), Id(k)),
-            padded=False,
+            lambda k: (compose_chain([DeltaK(k), pad(k, CounitK(k), 0)], k), Id(k)),
         ),
-        _axiom(
+        Axiom(
             "delta-counit-2", rb, ("k",),
-            lambda k: (_chain([DeltaK(k), pad(0, CounitK(k), k)], k), Id(k)),
-            padded=False,
+            lambda k: (compose_chain([DeltaK(k), pad(0, CounitK(k), k)], k), Id(k)),
         ),
-        _axiom(
+        Axiom(
             "delta-counit-12", rb, ("k", "l"),
             lambda k, l: (
-                _chain(
+                compose_chain(
                     [
                         DeltaK(k + l),
                         plus(pad(k, CounitK(l), 0), pad(0, CounitK(k), l)),
@@ -1079,38 +914,31 @@ def _rb_axioms() -> list[Axiom]:
                 ),
                 Id(k + l),
             ),
-            padded=False,
         ),
-        _axiom("unit-zero", rb, (), lambda: (UnitK(0), Id(0)), padded=False),
-        _axiom("counit-zero", rb, (), lambda: (CounitK(0), Id(0)), padded=False),
-        _axiom("nabla-zero", rb, (), lambda: (NablaK(0), Id(0)), padded=False),
-        _axiom("delta-zero", rb, (), lambda: (DeltaK(0), Id(0)), padded=False),
-        _axiom(
+        Axiom("unit-zero", rb, (), lambda: (UnitK(0), Id(0))),
+        Axiom("counit-zero", rb, (), lambda: (CounitK(0), Id(0))),
+        Axiom("nabla-zero", rb, (), lambda: (NablaK(0), Id(0))),
+        Axiom("delta-zero", rb, (), lambda: (DeltaK(0), Id(0))),
+        Axiom(
             "nabla-delta", rb, ("k",),
-            lambda k: (_chain([DeltaK(k), NablaK(k)], k), Id(k)),
-            padded=False,
+            lambda k: (compose_chain([DeltaK(k), NablaK(k)], k), Id(k)),
         ),
-        _axiom("tau-dual", rb, (), lambda: (tau_rb(), tau_rb_alt()),
-               padded=False),
-        _axiom("tau-acute-nat", rb, ("f",), acute_nat,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom("tau-grave-nat", rb, ("f",), grave_nat,
-               ranges=_pool_ranges(pool), padded=False),
-        _axiom(
+        Axiom("tau-dual", rb, (), lambda: (tau_rb(), tau_rb_alt())),
+        Axiom("tau-acute-nat", rb, ("f",), acute_nat, ranges=_pool_ranges(pool)),
+        Axiom("tau-grave-nat", rb, ("f",), grave_nat, ranges=_pool_ranges(pool)),
+        Axiom(
             "nabla-step", rb, ("k",),
             lambda k: (NablaK(k + 1), nabla_unfold(k)),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "delta-step", rb, ("k",),
             lambda k: (DeltaK(k + 1), delta_unfold(k)),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "nabla-slide", rb, ("m",),
             lambda m: (
-                _chain([pad(m, NablaK(1), 0), tau_acute(m)], m + 2),
-                _chain(
+                compose_chain([pad(m, NablaK(1), 0), tau_acute(m)], m + 2),
+                compose_chain(
                     [
                         pad(0, tau_acute(m), 1),
                         pad(1, tau_acute(m), 0),
@@ -1119,93 +947,92 @@ def _rb_axioms() -> list[Axiom]:
                     m + 2,
                 ),
             ),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "union-assoc", rb, ("f", "g", "h"),
             lambda a, b, c: (
                 _union(_rel(a), _union(_rel(b), _rel(c), _SQUARE), _SQUARE),
                 _union(_union(_rel(a), _rel(b), _SQUARE), _rel(c), _SQUARE),
             ),
-            ranges=_mask_ranges(8, 8, 8), padded=False,
+            ranges=_mask_ranges(8, 8, 8),
         ),
-        _axiom(
+        Axiom(
             "union-comm", rb, ("f", "g"),
             lambda a, b: (
                 _union(_rel(a), _rel(b), _SQUARE),
                 _union(_rel(b), _rel(a), _SQUARE),
             ),
-            ranges=_mask_ranges(16, 16), padded=False,
+            ranges=_mask_ranges(16, 16),
         ),
-        _axiom(
+        Axiom(
             "union-idem", rb, ("f",),
             lambda a: (_union(_rel(a), _rel(a), _SQUARE), _rel(a)),
-            ranges=_mask_ranges(16), padded=False,
+            ranges=_mask_ranges(16),
         ),
-        _axiom(
+        Axiom(
             "union-zero", rb, ("f",),
             lambda a: (
                 _union(_rel(a), zero_term(2, 2, rb), _SQUARE), _rel(a)
             ),
-            ranges=_mask_ranges(16), padded=False,
+            ranges=_mask_ranges(16),
         ),
-        _axiom(
+        Axiom(
             "comp-union-left", rb, ("f", "g", "h"),
             lambda a, b, c: (
-                _chain([_union(_rel(b), _rel(c), _SQUARE), _rel(a)], 2),
+                compose_chain([_union(_rel(b), _rel(c), _SQUARE), _rel(a)], 2),
                 _union(
-                    _chain([_rel(b), _rel(a)], 2),
-                    _chain([_rel(c), _rel(a)], 2),
+                    compose_chain([_rel(b), _rel(a)], 2),
+                    compose_chain([_rel(c), _rel(a)], 2),
                     _SQUARE,
                 ),
             ),
-            ranges=_mask_ranges(8, 8, 8), padded=False,
+            ranges=_mask_ranges(8, 8, 8),
         ),
-        _axiom(
+        Axiom(
             "comp-union-right", rb, ("f", "g", "h"),
             lambda a, b, c: (
-                _chain([_rel(a), _union(_rel(b), _rel(c), _SQUARE)], 2),
+                compose_chain([_rel(a), _union(_rel(b), _rel(c), _SQUARE)], 2),
                 _union(
-                    _chain([_rel(a), _rel(b)], 2),
-                    _chain([_rel(a), _rel(c)], 2),
+                    compose_chain([_rel(a), _rel(b)], 2),
+                    compose_chain([_rel(a), _rel(c)], 2),
                     _SQUARE,
                 ),
             ),
-            ranges=_mask_ranges(8, 8, 8), padded=False,
+            ranges=_mask_ranges(8, 8, 8),
         ),
-        _axiom(
+        Axiom(
             "comp-zero-left", rb, ("f", "k"),
             lambda a, k: (
-                _chain([_rel(a), zero_term(2, k, rb)], 2),
+                compose_chain([_rel(a), zero_term(2, k, rb)], 2),
                 zero_term(2, k, rb),
             ),
-            ranges=_mask_ranges(16, 4), padded=False,
+            ranges=_mask_ranges(16, 4),
         ),
-        _axiom(
+        Axiom(
             "comp-zero-right", rb, ("f", "k"),
             lambda a, k: (
-                _chain([zero_term(k, 2, rb), _rel(a)], k),
+                compose_chain([zero_term(k, 2, rb), _rel(a)], k),
                 zero_term(k, 2, rb),
             ),
-            ranges=_mask_ranges(16, 4), padded=False,
+            ranges=_mask_ranges(16, 4),
         ),
-        _axiom(
+        Axiom(
             "pad-union-left", rb, ("f", "g"),
             lambda a, b: (
                 pad(1, _union(_rel(a), _rel(b), _SQUARE), 0),
                 _union(pad(1, _rel(a), 0), pad(1, _rel(b), 0), TermType(3, 3)),
             ),
-            ranges=_mask_ranges(16, 16), padded=False,
+            ranges=_mask_ranges(16, 16),
         ),
-        _axiom(
+        Axiom(
             "pad-union-right", rb, ("f", "g"),
             lambda a, b: (
                 pad(0, _union(_rel(a), _rel(b), _SQUARE), 1),
                 _union(pad(0, _rel(a), 1), pad(0, _rel(b), 1), TermType(3, 3)),
             ),
-            ranges=_mask_ranges(16, 16), padded=False,
+            ranges=_mask_ranges(16, 16),
         ),
-        _axiom(
+        Axiom(
             "plus-union", rb, ("f", "g"),
             lambda a, b: (
                 _sum(_rel(a, 1, 2), TermType(1, 2), _rel(b, 2, 1), TermType(2, 1)),
@@ -1217,9 +1044,9 @@ def _rb_axioms() -> list[Axiom]:
                     TermType(3, 3),
                 ),
             ),
-            ranges=_mask_ranges(4, 4), padded=False,
+            ranges=_mask_ranges(4, 4),
         ),
-        _axiom(
+        Axiom(
             "nabla-union", rb, ("k",),
             lambda k: (
                 NablaK(k),
@@ -1227,9 +1054,8 @@ def _rb_axioms() -> list[Axiom]:
                     pad(k, CounitK(k), 0), pad(0, CounitK(k), k), TermType(2 * k, k)
                 ),
             ),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "delta-union", rb, ("k",),
             lambda k: (
                 DeltaK(k),
@@ -1237,9 +1063,8 @@ def _rb_axioms() -> list[Axiom]:
                     pad(k, UnitK(k), 0), pad(0, UnitK(k), k), TermType(k, 2 * k)
                 ),
             ),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "nabla-def", rb, ("n", "k", "m"),
             lambda n, k, m: (
                 pad(n, NablaK(k), m),
@@ -1248,9 +1073,8 @@ def _rb_axioms() -> list[Axiom]:
                     TermType(n + 2 * k + m, n + k + m),
                 ),
             ),
-            padded=False,
         ),
-        _axiom(
+        Axiom(
             "delta-def", rb, ("n", "k", "m"),
             lambda n, k, m: (
                 pad(n, DeltaK(k), m),
@@ -1259,20 +1083,18 @@ def _rb_axioms() -> list[Axiom]:
                     TermType(n + k + m, n + 2 * k + m),
                 ),
             ),
-            padded=False,
         ),
-        _axiom("unit-def", rb, ("n", "k", "m"), unit_def,
-               guard=lambda n, k, m: n + m >= 1, padded=False),
-        _axiom("counit-def", rb, ("n", "k", "m"), counit_def,
-               guard=lambda n, k, m: n + m >= 1, padded=False),
-        _axiom("one-def", rb, ("n", "m"), one_def,
-               guard=lambda n, m: n + m >= 1, padded=False),
-        _axiom("iota-comp", rb, ("n", "m", "p", "q", "k", "l", "r"),
-               iota_comp, ranges=iota_comp_ranges, padded=False),
-        _axiom("iota-zero-left", rb, ("n", "m", "p", "q", "r"),
-               iota_zero_left, ranges=zero_left_ranges, padded=False),
-        _axiom("iota-zero-right", rb, ("k", "l", "p", "q", "r"),
-               iota_zero_right, ranges=zero_right_ranges, padded=False),
+        Axiom("unit-def", rb, ("n", "k", "m"), unit_def,
+              guard=lambda n, k, m: n + m >= 1),
+        Axiom("counit-def", rb, ("n", "k", "m"), counit_def,
+              guard=lambda n, k, m: n + m >= 1),
+        Axiom("one-def", rb, ("n", "m"), one_def, guard=lambda n, m: n + m >= 1),
+        Axiom("iota-comp", rb, ("n", "m", "p", "q", "k", "l", "r"),
+              iota_comp, ranges=iota_comp_ranges),
+        Axiom("iota-zero-left", rb, ("n", "m", "p", "q", "r"),
+              iota_zero_left, ranges=zero_left_ranges),
+        Axiom("iota-zero-right", rb, ("k", "l", "p", "q", "r"),
+              iota_zero_right, ranges=zero_right_ranges),
     ]
 
 

@@ -59,6 +59,7 @@ from splitrel.terms import (
     TermTypeError,
     Unit,
     UnitK,
+    _parallel_union,
     eta_term,
     etabar_term,
     hbar_in_pf,
@@ -93,9 +94,10 @@ _POSITIONED = r"\s*(\d+|[a-z]+|[.,;()])"
 _DIRECTIVE_RE = re.compile(r"%category\s+(PF|EF|RB)\s*$")
 
 # name -> (argument shape, signature forced or None, builder, typing).  In
-# a shape `n` is a number, `t` a term, and `,`/`;` a separator.  The typing
-# maps the arguments, with each term replaced by its (src, tgt), to the
-# (src, tgt) of the built term.
+# a shape `n` is a number, `t` a term, `T` a term passed to the builder
+# with its parsed type (None once a junction of the text has mismatched),
+# and `,`/`;` a separator.  The typing maps the arguments, with each term
+# replaced by its (src, tgt), to the (src, tgt) of the built term.
 _ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm], Callable]] = {
     "id": ("n", None, lambda cat, n: Id(n), lambda n: (n, n)),
     "unit": ("", None, lambda cat: UnitK(1) if cat is RB else Unit(),
@@ -125,8 +127,17 @@ _ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm], Callable
              lambda i, j, n, m: (n, m)),
     "zero": ("n,n", None, lambda cat, n, m: zero_term(n, m, cat),
              lambda n, m: (n, m)),
-    "union": ("t,t", RB, lambda cat, f, g: union_term(f, g), lambda f, g: f),
+    "union": ("T,T", RB, lambda cat, f, g: _union_parsed(*f, *g), lambda f, g: f),
 }
+
+
+def _union_parsed(
+    f: ArrowTerm, f_type: TermType | None, g: ArrowTerm, g_type: TermType | None
+) -> ArrowTerm:
+    if f_type is None or g_type is None:
+        # an ill-typed text: the checking builder reports what it finds first
+        return union_term(f, g)
+    return _parallel_union(f, f_type, g, g_type)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -282,9 +293,12 @@ class _Parser:
                 n = self.number()
                 values.append(n)
                 types.append(n)
-            elif part == "t":
+            elif part in "tT":
                 t, src, tgt = self.term()
-                values.append(t)
+                if part == "t":
+                    values.append(t)
+                else:
+                    values.append((t, None if self.mismatch else TermType(src, tgt)))
                 types.append((src, tgt))
             else:
                 self.expect(part)

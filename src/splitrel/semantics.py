@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from splitrel.relations import (
     BinRel,
-    Node,
     SplitRelation,
     compose_rows,
     split_from_rows,
@@ -215,29 +214,47 @@ def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
     # padding on its own is the after factor of an identity.  A padding
     # strand only renames a point, so padded rows are never built.  The
     # slot of a key is its entry's position in `memo`.  Equal subterms get
-    # equal keys, and no key hashes more than one tree level.
-    if isinstance(t, Comp):
-        before_slot, before_value = _walk(t.before, model, memo)
-        after = t.after
-    elif isinstance(t, Pad):
-        before_slot, after = None, t
+    # equal keys, and no key hashes more than one tree level.  The before
+    # spine is walked by a loop and a leaf body is looked up in `memo`
+    # here, so only a body that is a composition or a padding costs a
+    # recursive call.
+    afters = []
+    while isinstance(t, Comp):
+        afters.append(t.after)
+        t = t.before
+    if isinstance(t, Pad):
+        entry = None  # its before factor is an identity as wide as its source
+        afters.append(t)
     else:
-        if t not in memo:
-            memo[t] = (len(memo), model[0](t))
-        return memo[t]
-    body, left, right = after, 0, 0
-    if isinstance(after, Pad):
-        body, left, right = after.body, after.left, after.right
-    body_slot, body_value = _walk(body, model, memo)
-    if before_slot is None:
-        identity = Id(left + body_value[0] + right)
-        before_slot, before_value = _walk(identity, model, memo)
-    key = (left, body_slot, right, before_slot)
-    if key not in memo:
-        _check_middle(before_value, left, body_value, right)
-        value = model[1](before_value, left, body_value, right)
-        memo[key] = (len(memo), value)
-    return memo[key]
+        entry = _leaf(t, model, memo)
+    for after in reversed(afters):
+        body, left, right = after, 0, 0
+        if isinstance(after, Pad):
+            body, left, right = after.body, after.left, after.right
+        if isinstance(body, (Comp, Pad)):
+            body_slot, body_value = _walk(body, model, memo)
+        else:
+            body_entry = memo.get(body)
+            if body_entry is None:
+                body_entry = memo[body] = (len(memo), model[0](body))
+            body_slot, body_value = body_entry
+        if entry is None:
+            entry = _leaf(Id(left + body_value[0] + right), model, memo)
+        before_slot, before_value = entry
+        key = (left, body_slot, right, before_slot)
+        entry = memo.get(key)
+        if entry is None:
+            _check_middle(before_value, left, body_value, right)
+            value = model[1](before_value, left, body_value, right)
+            entry = memo[key] = (len(memo), value)
+    return entry
+
+
+def _leaf(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
+    entry = memo.get(t)
+    if entry is None:
+        entry = memo[t] = (len(memo), model[0](t))
+    return entry
 
 
 def _flat_pairs(rows: list[int], width: int) -> list[tuple[int, int]]:
@@ -301,11 +318,3 @@ def eval_strict(t: ArrowTerm, category: Category | None = None) -> SplitRelation
         raise TermTypeError("relational values have no strict part")
     n, m, rows = _rows(t, resolved, {})
     return split_from_rows(n, m, (row & ~(1 << i) for i, row in enumerate(rows)))
-
-
-def eval_strict_unordered(
-    t: ArrowTerm, category: Category | None = None
-) -> frozenset[frozenset[Node]]:
-    """EF view of the strict part: unordered pairs of distinct nodes."""
-    strict = eval_strict(t, category=category or Category.EF)
-    return frozenset(frozenset((x, y)) for x, y in strict.pairs)

@@ -19,8 +19,9 @@ Builders that already know the widths of their parts take them instead
 of walking the parts: the private `_sum` and `_union` (used by
 `iota_term`, `normalform.iota_nf_term` and the relational catalog)
 neither type nor check, so their callers must pass correct types.
-`pad` walks the before spine of a composition with a loop, so a long
-chain does not exhaust the stack.
+`pad` walks the before spine of a composition with a loop, and
+`forced_category` walks a term with an explicit stack, so neither
+recurses once per factor of a long chain.
 """
 from __future__ import annotations
 
@@ -172,24 +173,26 @@ def type_of(t: ArrowTerm) -> TermType:
 
 
 def _generator_kinds(t: ArrowTerm, found: set[str]) -> None:
-    match t:
-        case Id(_):
-            pass
-        case Pad(_, body, _):
-            _generator_kinds(body, found)
-        case Comp(after, before):
-            _generator_kinds(after, found)
-            _generator_kinds(before, found)
-        case H():
-            found.add("pf")
-        case HBar():
-            found.add("ef")
-        case Unit() | Counit() | Swap():
-            found.add("pf-or-ef")
-        case NablaK(_) | DeltaK(_) | UnitK(_) | CounitK(_):
-            found.add("rb")
-        case _:
-            raise TermTypeError(f"not an arrow term: {t!r}")
+    stack = [t]  # after factors are visited before before factors
+    while stack:
+        match stack.pop():
+            case Id(_):
+                pass
+            case Pad(_, body, _):
+                stack.append(body)
+            case Comp(after, before):
+                stack.append(before)
+                stack.append(after)
+            case H():
+                found.add("pf")
+            case HBar():
+                found.add("ef")
+            case Unit() | Counit() | Swap():
+                found.add("pf-or-ef")
+            case NablaK(_) | DeltaK(_) | UnitK(_) | CounitK(_):
+                found.add("rb")
+            case other:
+                raise TermTypeError(f"not an arrow term: {other!r}")
 
 
 def forced_category(t: ArrowTerm) -> Category | None:
@@ -432,15 +435,21 @@ def iota_term(i: int, j: int, n: int, m: int) -> ArrowTerm:
 
 def union_term(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:
     """Pointwise union of two parallel RB arrows: fold of their sum."""
-    f_type = type_of(f)
-    g_type = type_of(g)
+    union = _parallel_union(f, type_of(f), g, type_of(g))
+    forced_category(union)  # the fold beside a split-preorder generator raises
+    return union
+
+
+def _parallel_union(
+    f: ArrowTerm, f_type: TermType, g: ArrowTerm, g_type: TermType
+) -> ArrowTerm:
+    """`union_term` of two arrows of known types: checks that they are
+    parallel, with no typing or signature walk."""
     if f_type != g_type:
         raise TermTypeError(
             f"union needs parallel arrows, got {f_type} and {g_type}"
         )
-    union = _union(f, g, f_type)
-    forced_category(union)  # the fold beside a split-preorder generator raises
-    return union
+    return _union(f, g, f_type)
 
 
 def _union(f: ArrowTerm, g: ArrowTerm, f_type: TermType) -> ArrowTerm:

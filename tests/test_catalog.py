@@ -15,7 +15,7 @@ from splitrel.catalog import (
     instances,
     instantiate,
 )
-from splitrel import terms
+from splitrel import catalog, dsl, terms
 from splitrel.dsl import parse, print_term
 from splitrel.semantics import equal
 from splitrel.terms import Category, Comp, H, HBar, Id, TermTypeError, pad
@@ -190,3 +190,68 @@ def test_checking_an_instance_resolves_no_signature(count_calls):
     category, (lhs, rhs) = sides[0]
     assert equal(lhs, rhs)
     assert forced == [(lhs,), (rhs,)]
+
+
+PINNED_NAMES = {
+    Category.PF: [
+        "cat-1-left", "cat-1-right", "fl",
+        "tau-tau", "tau-yb", "tau-unit", "tau-counit", "zero-zero",
+        "h-idemp", "h-yb", "h-com-left", "h-com-right", "h-bond", "h-bond-alt",
+        "hh", "hh-in", "hh-out", "h-two-zero", "h-zero-two", "h-two-two",
+        "nabla-assoc", "nabla-unit-left", "nabla-unit-right", "delta-assoc",
+        "delta-counit-left", "delta-counit-right", "frobenius-left",
+        "frobenius-right", "nabla-tau", "tau-delta", "nabla-swap", "delta-swap",
+        "separability",
+        "down-idemp", "down-tau", "up-alt", "up-down", "down-two-zero",
+        "down-zero-two", "down-two-two", "down-separability", "down-two-one",
+        "down-one-two", "down-zero-one", "down-one-zero", "nabla-circ",
+        "h-via-nabla", "h-def", "h-tr",
+        "tau-def", "eta-unit", "eta-counit", "eta-idemp", "eta-perm", "eta-kl",
+        "eta-k-zero", "eta-zero-l", "eta-tr", "natural-id",
+    ],
+    Category.EF: [
+        "cat-1-left", "cat-1-right", "fl",
+        "tau-tau", "tau-yb", "tau-unit", "tau-counit", "zero-zero",
+        "hbar-idemp", "hbar-yb", "hbar-com-left", "hbar-com-right", "hbar-bond",
+        "hbar-bond-alt", "hbar-hbar", "nabla-consistency", "delta-consistency",
+        "hbar-def", "hbar-eta", "etabar-sym",
+        "nabla-assoc", "nabla-unit-left", "nabla-unit-right", "delta-assoc",
+        "delta-counit-left", "delta-counit-right", "frobenius-left",
+        "frobenius-right", "nabla-tau", "tau-delta", "nabla-swap", "delta-swap",
+        "separability",
+        "tau-def", "eta-unit", "eta-counit", "eta-idemp", "eta-perm", "eta-kl",
+        "eta-k-zero", "eta-zero-l", "eta-tr", "natural-id",
+    ],
+    Category.RB: [
+        "cat-1-left", "cat-1-right", "fl",
+        "nabla-nat", "delta-nat", "unit-nat", "counit-nat",
+        "nabla-unit-1", "nabla-unit-2", "nabla-unit-12",
+        "delta-counit-1", "delta-counit-2", "delta-counit-12",
+        "unit-zero", "counit-zero", "nabla-zero", "delta-zero", "nabla-delta",
+        "tau-dual", "tau-acute-nat", "tau-grave-nat", "nabla-step", "delta-step",
+        "nabla-slide", "union-assoc", "union-comm", "union-idem", "union-zero",
+        "comp-union-left", "comp-union-right", "comp-zero-left",
+        "comp-zero-right", "pad-union-left", "pad-union-right", "plus-union",
+        "nabla-union", "delta-union", "nabla-def", "delta-def", "unit-def",
+        "counit-def", "one-def", "iota-comp", "iota-zero-left",
+        "iota-zero-right",
+    ],
+}
+
+
+@pytest.mark.parametrize("category", list(Category), ids=lambda c: c.name)
+def test_axiom_names_keep_their_order(category):
+    assert [axiom.name for axiom in axiom_catalog(category)] == PINNED_NAMES[category]
+
+
+def test_table_sides_are_parsed_once_on_first_use(count_calls):
+    parsed = count_calls(dsl, "parse")
+    fresh = catalog._pf_axioms() + catalog._ef_axioms() + catalog._rb_axioms()
+    for category in Category:
+        for axiom in axiom_catalog(category):
+            assert list(instances(axiom, max_param=3))
+    assert parsed == []
+    frobenius = next(axiom for axiom in fresh if axiom.name == "frobenius-left")
+    first = instantiate(frobenius, (0, 0))
+    assert instantiate(frobenius, (1, 2)) == (pad(1, first[0], 2), pad(1, first[1], 2))
+    assert len(parsed) == 2

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from splitrel import dsl
+from splitrel import dsl, terms
 from splitrel.dsl import ParseError, parse, parse_with_category, print_term
 from splitrel.fuzz import random_term
 from splitrel.semantics import resolve_category
@@ -200,6 +200,27 @@ def test_type_errors_pass_through():
         parse("union(unitk(1), unitk(2))")
 
 
+def test_union_type_errors_are_pinned():
+    with pytest.raises(TermTypeError) as exc:
+        parse("union(unitk(1), unitk(2))")
+    assert str(exc.value) == "union needs parallel arrows, got 0->1 and 0->2"
+    # an ill-typed argument reports its own junction first
+    with pytest.raises(TermTypeError) as exc:
+        parse("union(unitk(1) . unitk(2), unitk(2))")
+    assert str(exc.value) == "cannot compose 0->2 with 0->1: 2 != 0"
+
+
+def test_parsing_a_union_types_nothing_again(count_calls):
+    typed = count_calls(terms, "type_of")
+    kinds = count_calls(terms, "_generator_kinds")
+    term = parse("union(iota(0,1;3,3), union(iota(1,1;3,3), iota(2,0;3,3)))")
+    assert (len(typed), len(kinds)) == (0, 0)
+    assert term == union_term(
+        iota_term(0, 1, 3, 3),
+        union_term(iota_term(1, 1, 3, 3), iota_term(2, 0, 3, 3)),
+    )
+
+
 def test_builder_errors_become_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse("iota(3,0;3,2)")
@@ -316,7 +337,7 @@ def _atom_text(name: str) -> str:
     shape = dsl._ATOMS[name][0]
     if not shape:
         return name
-    args = {"n": "2", "t,t": f"{body}, {body}", "n,t,n": f"1, {body}, 0",
+    args = {"n": "2", "T,T": f"{body}, {body}", "n,t,n": f"1, {body}, 0",
             "n,n": "1, 2", "n,n,n": "0, 1, 2", "n,n;n,n": "0, 1; 2, 2"}
     if name == "plus":
         return f"plus({body}, counit)"

@@ -20,7 +20,6 @@ from splitrel.relations import (
 from splitrel.semantics import (
     equal,
     eval_strict,
-    eval_strict_unordered,
     eval_term,
     resolve_category,
 )
@@ -326,13 +325,6 @@ def test_eval_strict_basics():
     assert len(eval_strict(H()).pairs) == 8
     with pytest.raises(TermTypeError):
         eval_strict(NablaK(1))
-
-
-def test_eval_strict_unordered():
-    pairs = eval_strict_unordered(HBar())
-    assert frozenset({src(0), tgt(1)}) in pairs
-    assert all(len(p) == 2 for p in pairs)
-    assert len(pairs) == 6
 
 
 # ------------------------------------------------------------------ laws on random terms

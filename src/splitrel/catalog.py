@@ -23,6 +23,16 @@ The parametric and schema axioms stay code: the pool, bridge and mask
 families, which range over sample arrows, strands or selections on their
 own; `h-via-nabla`, `h-def`, `hbar-def`, `hbar-eta` and `etabar-sym`,
 whose strand positions are parameters; and the whole RB catalog.
+
+Arrows that many instances share are built once per process: the
+sample relations `_rel` of the union and plus families (24 of them), and
+each signature's bridge arrows `e(i, j, width)` in `_bridge_family`,
+kept in a cache of `_BRIDGE_ARROWS` entries, since `tau-def` asks for
+ever wider ones as the parameter bound grows.  Sharing is safe because
+terms are frozen and every builder, `pad`, `apply_axiom` included,
+makes new nodes around a shared one instead of changing it.  Whole
+instances are not kept: `check-axioms` builds each of them once, so
+such a cache would only hold memory.
 """
 
 from __future__ import annotations
@@ -321,6 +331,12 @@ def _pool_family(
     ]
 
 
+# Bridge arrows each signature's `_bridge_family` keeps: its families use
+# 90 distinct `(i, j, width)` at parameter bound 3.  Only `tau-def` asks
+# for wider ones as the bound grows, each once, so they cycle through.
+_BRIDGE_ARROWS = 128
+
+
 def _bridge_family(
     category: Category,
     e: Callable[[int, int, int], ArrowTerm],
@@ -334,6 +350,7 @@ def _bridge_family(
     side generates that same glueing.
     """
     symmetric = category is Category.EF
+    e = functools.lru_cache(maxsize=_BRIDGE_ARROWS)(e)
 
     def drop(v: int, p: int) -> int:
         return v - 1 if v > p else v
@@ -747,6 +764,7 @@ _RB_GENS: tuple[ArrowTerm, ...] = tuple(
 )
 
 
+@functools.cache
 def _rel(mask: int, n: int = 2, m: int = 2) -> ArrowTerm:
     """A union-of-pairs sample relation selected by bitmask."""
     cells = [(i, j) for i in range(n) for j in range(m)]

@@ -60,6 +60,7 @@ from splitrel.terms import (
     Unit,
     UnitK,
     _parallel_union,
+    _sum,
     eta_term,
     etabar_term,
     hbar_in_pf,
@@ -93,6 +94,24 @@ _POSITIONED = r"\s*(\d+|[a-z]+|[.,;()])"
 
 _DIRECTIVE_RE = re.compile(r"%category\s+(PF|EF|RB)\s*$")
 
+
+def _typed_pair(
+    checked: Callable[[ArrowTerm, ArrowTerm], ArrowTerm],
+    known: Callable[[ArrowTerm, TermType, ArrowTerm, TermType], ArrowTerm],
+) -> Callable[..., ArrowTerm]:
+    """The builder of a `T,T` atom: `known` on the parsed types, or
+    `checked` once a junction of the text has mismatched."""
+
+    def build(cat: Category, f: tuple, g: tuple) -> ArrowTerm:
+        (f, f_type), (g, g_type) = f, g
+        if f_type is None or g_type is None:
+            # an ill-typed text: the checking builder reports what it finds first
+            return checked(f, g)
+        return known(f, f_type, g, g_type)
+
+    return build
+
+
 # name -> (argument shape, signature forced or None, builder, typing).  In
 # a shape `n` is a number, `t` a term, `T` a term passed to the builder
 # with its parsed type (None once a junction of the text has mismatched),
@@ -115,7 +134,7 @@ _ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm], Callable
     "counitk": ("n", RB, lambda cat, k: CounitK(k), lambda k: (k, 0)),
     "pad": ("n,t,n", None, lambda cat, left, t, right: pad(left, t, right),
             lambda left, t, right: (left + t[0] + right, left + t[1] + right)),
-    "plus": ("t,t", None, lambda cat, f, g: plus(f, g),
+    "plus": ("T,T", None, _typed_pair(plus, _sum),
              lambda f, g: (f[0] + g[0], f[1] + g[1])),
     "eta": ("n,n,n", PF, lambda cat, i, j, n: eta_term(i, j, n),
             lambda i, j, n: (n, n)),
@@ -127,17 +146,8 @@ _ATOMS: dict[str, tuple[str, Category | None, Callable[..., ArrowTerm], Callable
              lambda i, j, n, m: (n, m)),
     "zero": ("n,n", None, lambda cat, n, m: zero_term(n, m, cat),
              lambda n, m: (n, m)),
-    "union": ("T,T", RB, lambda cat, f, g: _union_parsed(*f, *g), lambda f, g: f),
+    "union": ("T,T", RB, _typed_pair(union_term, _parallel_union), lambda f, g: f),
 }
-
-
-def _union_parsed(
-    f: ArrowTerm, f_type: TermType | None, g: ArrowTerm, g_type: TermType | None
-) -> ArrowTerm:
-    if f_type is None or g_type is None:
-        # an ill-typed text: the checking builder reports what it finds first
-        return union_term(f, g)
-    return _parallel_union(f, f_type, g, g_type)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:

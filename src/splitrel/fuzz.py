@@ -19,29 +19,32 @@ from splitrel.terms import (
     Id,
     NablaK,
     Swap,
+    TermType,
     Unit,
     UnitK,
+    _sum,
     pad,
-    plus,
-    type_of,
 )
 
 
-def _leaf_pool(category: Category, max_arity: int) -> list[tuple[ArrowTerm, int]]:
+def _leaf_pool(
+    category: Category, max_arity: int
+) -> list[tuple[ArrowTerm, int, int]]:
+    """Each generator leaf with its source and target widths."""
     if category is Category.RB:
-        pool: list[tuple[ArrowTerm, int]] = []
+        pool: list[tuple[ArrowTerm, int, int]] = []
         for k in range(1, max_arity + 1):
             pool.extend(
                 [
-                    (NablaK(k), 2 * k),
-                    (DeltaK(k), k),
-                    (UnitK(k), 0),
-                    (CounitK(k), k),
+                    (NablaK(k), 2 * k, k),
+                    (DeltaK(k), k, 2 * k),
+                    (UnitK(k), 0, k),
+                    (CounitK(k), k, 0),
                 ]
             )
         return pool
     bridge: ArrowTerm = H() if category is Category.PF else HBar()
-    return [(Unit(), 0), (Counit(), 1), (Swap(), 2), (bridge, 2)]
+    return [(Unit(), 0, 1), (Counit(), 1, 0), (Swap(), 2, 2), (bridge, 2, 2)]
 
 
 class TermSampler:
@@ -63,46 +66,55 @@ class TermSampler:
         self.max_width = max_width
         self.pool = _leaf_pool(category, max_arity)
 
-    def _padded_leaf(self, src: int) -> ArrowTerm:
+    def _padded_leaf(self, src: int) -> tuple[ArrowTerm, int]:
         rng = self.rng
         cap = max(self.max_width, src)
         fits = []
-        for leaf, leaf_src in self.pool:
+        for leaf, leaf_src, leaf_tgt in self.pool:
             diff = src - leaf_src
             if not 0 <= diff <= 2 * self.max_pad:
                 continue
-            if diff + type_of(leaf).tgt > cap:
+            if diff + leaf_tgt > cap:
                 continue
-            fits.append((leaf, diff))
+            fits.append((leaf, diff, leaf_tgt))
         if not fits:
-            return Id(src)
-        leaf, diff = rng.choice(fits)
+            return Id(src), src
+        leaf, diff, leaf_tgt = rng.choice(fits)
         left = rng.randint(max(0, diff - self.max_pad), min(self.max_pad, diff))
-        return pad(left, leaf, diff - left)
+        return pad(left, leaf, diff - left), diff + leaf_tgt
 
-    def with_source(self, src: int, depth: int) -> ArrowTerm:
+    def _draw(self, src: int, depth: int) -> tuple[ArrowTerm, int]:
+        """A term from `src` and its target width, typed as it is drawn."""
         rng = self.rng
         if depth <= 0:
-            return self._padded_leaf(src) if rng.random() < 0.8 else Id(src)
+            return self._padded_leaf(src) if rng.random() < 0.8 else (Id(src), src)
         roll = rng.random()
         if roll < 0.25:
             return self._padded_leaf(src)
         if roll < 0.65:
-            before = self.with_source(src, depth - 1)
-            after = self.with_source(type_of(before).tgt, depth - 1)
-            return Comp(after, before)
+            before, mid = self._draw(src, depth - 1)
+            after, tgt = self._draw(mid, depth - 1)
+            return Comp(after, before), tgt
         if roll < 0.85 and src >= 1:
             cut = rng.randint(0, src)
-            f = self.with_source(cut, depth - 1)
-            g = self.with_source(src - cut, depth - 1)
-            return plus(f, g)
+            f, f_tgt = self._draw(cut, depth - 1)
+            g, g_tgt = self._draw(src - cut, depth - 1)
+            f_type, g_type = TermType(cut, f_tgt), TermType(src - cut, g_tgt)
+            return _sum(f, f_type, g, g_type), f_tgt + g_tgt
         return self._padded_leaf(src)
 
-    def term(self, depth: int | None = None) -> ArrowTerm:
+    def _typed_term(self, depth: int | None = None) -> tuple[ArrowTerm, TermType]:
         if depth is None:
             depth = self.rng.randint(0, self.max_depth)
         src = self.rng.randint(0, min(4, self.max_width))
-        return self.with_source(src, depth)
+        t, tgt = self._draw(src, depth)
+        return t, TermType(src, tgt)
+
+    def with_source(self, src: int, depth: int) -> ArrowTerm:
+        return self._draw(src, depth)[0]
+
+    def term(self, depth: int | None = None) -> ArrowTerm:
+        return self._typed_term(depth)[0]
 
 
 def random_term(
@@ -128,11 +140,10 @@ def random_term_pair(
 ) -> tuple[ArrowTerm, ArrowTerm]:
     """Two independent terms of the same type (resampled until types agree)."""
     sampler = TermSampler(rng, category, max_depth, max_pad, max_arity, max_width)
-    f = sampler.term()
-    f_type = type_of(f)
+    f, (src, tgt) = sampler._typed_term()
     for _ in range(200):
-        g = sampler.with_source(f_type.src, rng.randint(0, max_depth))
-        if type_of(g) == f_type:
+        g, g_tgt = sampler._draw(src, rng.randint(0, max_depth))
+        if g_tgt == tgt:
             return f, g
     return f, f
 

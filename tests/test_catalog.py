@@ -18,7 +18,7 @@ from splitrel.catalog import (
 from splitrel import catalog, dsl, terms
 from splitrel.dsl import parse, print_term
 from splitrel.semantics import equal
-from splitrel.terms import Category, Comp, H, HBar, Id, TermTypeError, pad
+from splitrel.terms import Category, Comp, H, HBar, Id, NablaK, Pad, TermTypeError, pad
 
 ALL_AXIOMS = [
     (category, axiom)
@@ -255,3 +255,87 @@ def test_table_sides_are_parsed_once_on_first_use(count_calls):
     first = instantiate(frobenius, (0, 0))
     assert instantiate(frobenius, (1, 2)) == (pad(1, first[0], 2), pad(1, first[1], 2))
     assert len(parsed) == 2
+
+
+# ------------------------------------------------------------------ shared arrows
+
+
+def _bridge_arrows(category):
+    # the cached bridge-arrow builder that a catalog's bridge family closes over
+    build = axiom_named("eta-idemp", category).build
+    return build.__closure__[build.__code__.co_freevars.index("e")].cell_contents
+
+
+def _positions(t, target, here=()):
+    if t == target:
+        yield here
+    if isinstance(t, Comp):
+        yield from _positions(t.after, target, here + (0,))
+        yield from _positions(t.before, target, here + (1,))
+    elif isinstance(t, Pad):
+        yield from _positions(t.body, target, here + (0,))
+
+
+def test_sample_relations_are_built_once():
+    catalog._rel.cache_clear()
+    for category in Category:
+        for axiom in axiom_catalog(category):
+            for params in instances(axiom, max_param=3):
+                instantiate(axiom, params)
+    info = catalog._rel.cache_info()
+    # 16 masks on 2 -> 2, and 4 each on 1 -> 2 and 2 -> 1
+    assert (info.currsize, info.misses) == (24, 24)
+
+
+@pytest.mark.parametrize("category", [Category.PF, Category.EF], ids=lambda c: c.name)
+def test_bridge_arrow_caches_stay_within_their_bound(category):
+    arrows = _bridge_arrows(category)
+    assert arrows.cache_info().maxsize == catalog._BRIDGE_ARROWS
+    # tau-def asks for 338 distinct bridge arrows up to 12, each once
+    assert check_axiom(axiom_named("tau-def", category), 12) == (169, [])
+    assert arrows.cache_info().currsize == catalog._BRIDGE_ARROWS
+    # every arrow the bridge families use at bound 3 fits in the cache
+    used = set()
+
+    def counting(i, j, width):
+        used.add((i, j, width))
+        return arrows.__wrapped__(i, j, width)
+
+    for axiom in catalog._bridge_family(category, counting):
+        for params in instances(axiom, max_param=3):
+            instantiate(axiom, params)
+    assert len(used) == 90 <= catalog._BRIDGE_ARROWS
+
+
+def test_instantiating_twice_gives_equal_sides():
+    for category in Category:
+        for axiom in axiom_catalog(category):
+            for params in instances(axiom, max_param=2):
+                assert instantiate(axiom, params) == instantiate(axiom, params)
+
+
+def test_rewriting_leaves_the_shared_arrows_as_they_were():
+    pf_arrows = _bridge_arrows(Category.PF)
+    shared = [catalog._rel(mask) for mask in range(16)] + [
+        pf_arrows(i, j, 3) for i in range(3) for j in range(3) if i != j
+    ]
+    printed = [print_term(t) for t in shared]
+    rewrites = [
+        # pad(0, h, 1) -> pad(0, h . h, 1) inside a shared bridge arrow
+        (Category.PF, "eta-idemp", (0, 2, 3), pad(0, H(), 1), "h-idemp", (0, 1), "rl"),
+        # nabla(2) -> its unfolding inside the shared sample relations
+        (Category.RB, "union-assoc", (5, 6, 7), NablaK(2), "nabla-step", (1,), "lr"),
+    ]
+    for category, name, params, target, rule, rule_params, direction in rewrites:
+        lhs, _ = instantiate(axiom_named(name, category), params)
+        found = list(_positions(lhs, target))
+        assert len(found) >= 2
+        for position in found:
+            rewritten = apply_axiom(lhs, axiom_named(rule, category), rule_params,
+                                    position, direction)
+            assert rewritten != lhs
+            assert equal(rewritten, lhs, category)
+        assert instantiate(axiom_named(name, category), params)[0] == lhs
+    assert [catalog._rel(mask) for mask in range(16)] == shared[:16]
+    assert all(catalog._rel(mask) is shared[mask] for mask in range(16))
+    assert [print_term(t) for t in shared] == printed

@@ -26,6 +26,8 @@ from splitrel.terms import (
     eta_term,
     hbar_in_pf,
     iota_term,
+    pad,
+    plus,
     tau_rb,
     type_of,
     union_term,
@@ -218,6 +220,36 @@ def test_parsing_a_union_types_nothing_again(count_calls):
     assert term == union_term(
         iota_term(0, 1, 3, 3),
         union_term(iota_term(1, 1, 3, 3), iota_term(2, 0, 3, 3)),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("plus(h . unit, h)", "cannot compose 0->1 with 2->2: 1 != 2"),
+        ("plus(h, counit . h)", "cannot compose 2->2 with 1->0: 2 != 1"),
+        # with both arguments ill-typed, the first one reports
+        ("plus(h . unit, counit . h)", "cannot compose 0->1 with 2->2: 1 != 2"),
+        # a mismatch outside the sum is reported for the whole text
+        ("h . plus(h, h)", "cannot compose 4->4 with 2->2: 4 != 2"),
+        ("(h . unit) . plus(swap, counit)", "cannot compose 0->1 with 2->2: 1 != 2"),
+        ("plus(unitk(1) . unitk(2), unit)", "cannot compose 0->2 with 0->1: 2 != 0"),
+    ],
+)
+def test_plus_type_errors_are_pinned(text, message):
+    with pytest.raises(TermTypeError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_parsing_a_plus_types_nothing_again(count_calls):
+    typed = count_calls(terms, "type_of")
+    kinds = count_calls(terms, "_generator_kinds")
+    term = parse("plus(plus(pad(1, h, 0) . pad(0, h, 1), swap), plus(h . swap, h))")
+    assert (len(typed), len(kinds)) == (0, 0)
+    assert term == plus(
+        plus(Comp(pad(1, H(), 0), pad(0, H(), 1)), Swap()),
+        plus(Comp(H(), Swap()), H()),
     )
 
 

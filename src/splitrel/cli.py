@@ -10,9 +10,11 @@ Exit codes: 0 success,
 contains failures), 2 input could not be parsed, 3 a term is ill-typed
 or in the wrong signature, 4 a precondition was violated (eq on terms
 of different types, separate on equal terms, an unreadable @file, a
-negative --max-param, or a negative fuzz --count, --max-depth, --max-pad
-or --max-arity), 5 an unexpected exception, so a crash never reads as a
-verdict.
+negative --max-param, a negative fuzz --count, --max-depth, --max-pad
+or --max-arity, or a term or value payload wider than `MAX_POINTS` =
+4,096 points on a side: an atom whose type is wider, or a `render`
+payload whose "n" or "m" is larger), 5 an unexpected exception, so a
+crash never reads as a verdict.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import sys
 from pathlib import Path
 
 from splitrel.catalog import axiom_catalog, check_axiom
-from splitrel.dsl import ParseError, _parse_joined, print_term
+from splitrel.dsl import MAX_POINTS, ParseError, _parse_joined, print_term
 from splitrel.fuzz import fuzz_report
 from splitrel.maximality import _separate
 from splitrel.normalform import NORMAL_FORMS
@@ -186,13 +188,16 @@ def _value_from_json(raw: str, category: Category | None):
             if category is not None
             else any(not isinstance(p[0], list) for p in pairs)
         )
-        if relational:
-            return BinRel.from_json(raw)
-        return SplitRelation.from_json(raw)
+        n, m = data["n"], data["m"]
+        if max(n, m) <= MAX_POINTS:  # rows are allocated only below the limit
+            return (BinRel if relational else SplitRelation).from_json(raw)
     except json.JSONDecodeError:
         raise
     except Exception as exc:
         raise ParseError(f"bad value payload: {exc}") from exc
+    raise ValueError(
+        f"value of type {n}->{m} is wider than {MAX_POINTS} points on a side"
+    )
 
 
 def cmd_render(args: argparse.Namespace) -> int:

@@ -94,6 +94,10 @@ _POSITIONED = r"\s*(\d+|[a-z]+|[.,;()])"
 
 _DIRECTIVE_RE = re.compile(r"%category\s+(PF|EF|RB)\s*$")
 
+# The most points either side of an atom may have: each point of a value
+# is a row, so a wider text is refused before anything is built for it.
+MAX_POINTS = 4096
+
 
 def _typed_pair(
     checked: Callable[[ArrowTerm, ArrowTerm], ArrowTerm],
@@ -246,8 +250,12 @@ class _Parser:
         word = self.words[self.index]
         if not word[:1].isdecimal():
             raise self.error(f"expected a number, found {word or 'end of input'!r}")
+        try:
+            value = int(word)
+        except ValueError as exc:  # more digits than `int` reads
+            raise self.error(str(exc)) from exc
         self.index += 1
-        return int(word)
+        return value
 
     def term(self) -> tuple[ArrowTerm, int, int]:
         words = self.words
@@ -283,11 +291,16 @@ class _Parser:
         # an atom forcing EF is allowed in PF, where it expands through `h`
         if forces not in (None, cat) and (forces, cat) != (EF, PF):
             raise self.error(f"{word!r} is not a {cat.value} generator", index)
+        values, types = self.args(shape)
+        src, tgt = typing(*types)
+        if max(src, tgt) > MAX_POINTS:
+            line, col = _word_line_col(self.text, index)
+            raise ValueError(
+                f"{word!r} of type {src}->{tgt} is wider than {MAX_POINTS} "
+                f"points on a side (line {line}, column {col})"
+            )
         try:
-            values, types = self.args(shape)
-            return (build(cat, *values), *typing(*types))
-        except ParseError:
-            raise
+            return build(cat, *values), src, tgt
         except ValueError as exc:
             raise self.error(str(exc), index) from exc
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-from .semantics import _flat_pairs, _rows
+from .relations import flat_pairs
+from .semantics import _rows
 from .terms import (
     ArrowTerm,
     Category,
@@ -42,7 +43,6 @@ __all__ = [
     "Perm",
     "perm_factors",
     "perm_term",
-    "perm_remove",
     "eta_term",
     "etabar_term",
     "EtaNF",
@@ -55,24 +55,6 @@ __all__ = [
     "iota_nf",
     "iota_nf_term",
 ]
-
-
-def perm_remove(p: Perm, k: int, l: int) -> Perm:
-    """Drop the pair (k, l) from a permutation, shrinking it by one.
-
-    Requires p(k) == l.  Positions above k on the source side and above l
-    on the target side slide down to fill the gap.
-    """
-    n = p.size
-    if not 0 <= k < n:
-        raise ValueError(f"position {k} out of range for a permutation of size {n}")
-    if p(k) != l:
-        raise ValueError(f"permutation maps {k} to {p(k)}, not {l}")
-    images = []
-    for i in range(n - 1):
-        tgt = p(i if i < k else i + 1)
-        images.append(tgt if tgt < l else tgt - 1)
-    return Perm(tuple(images))
 
 
 def _check_pair_field(pairs: object) -> tuple[tuple[int, int], ...]:
@@ -198,23 +180,21 @@ def eta_nf(t: ArrowTerm) -> EtaNF:
     source strand k becomes k and target strand k becomes n + k."""
     _expect_category(t, Category.PF, "eta normal form")
     n, m, rows = _rows(t, Category.PF, {})
-    pairs = _flat_pairs(rows, n + m)
-    return EtaNF(n, m, tuple((i, j) for i, j in pairs if i != j))
+    return EtaNF(n, m, tuple((i, j) for i, j in flat_pairs(rows) if i != j))
 
 
 def etabar_nf(t: ArrowTerm) -> EtaBarNF:
     """Eta normal form of an equivalence term, with unordered pairs."""
     _expect_category(t, Category.EF, "overlined eta normal form")
     n, m, rows = _rows(t, Category.EF, {})
-    pairs = _flat_pairs(rows, n + m)
-    return EtaBarNF(n, m, tuple((i, j) for i, j in pairs if i < j))
+    return EtaBarNF(n, m, tuple((i, j) for i, j in flat_pairs(rows) if i < j))
 
 
 def iota_nf(t: ArrowTerm) -> IotaNF:
     """Iota normal form of a relational term: simply its relation."""
     _expect_category(t, Category.RB, "iota normal form")
     n, m, rows = _rows(t, Category.RB, {})
-    return IotaNF(n, m, tuple(_flat_pairs(rows, m)))
+    return IotaNF(n, m, tuple(flat_pairs(rows)))
 
 
 def _eta_chain(

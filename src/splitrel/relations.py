@@ -7,15 +7,24 @@ is additionally symmetric.  Composition glues the target copy of one
 relation to the source copy of the next, closes transitively, and
 deletes the shared middle layer.
 
-Everything here is immutable and pure.  Pair sets compare extensionally,
-so `SplitPreorder` and `SplitEquivalence` are aliases of
-`SplitRelation`; use `is_preorder` / `is_equivalence` to check the
-defining invariants.
+A value holds one bit row per point: a `SplitRelation` numbers its
+points flat, the n sources and then the m targets (the indexing `EtaNF`
+uses), and a `BinRel` has one row of target bits per source.  `==` and
+`hash` compare the rows, and every operation here works on them.  The
+constructors take pairs; `.pairs` is a read-only view, built on first
+read unless the value was built from pairs.  Set bits read in row order
+(`flat_pairs`) come in sorted pair order, because sources come before
+targets, so the JSON form is written straight from the rows.
+
+Everything here is immutable and pure.  `SplitPreorder` and
+`SplitEquivalence` are aliases of `SplitRelation`; use `is_preorder` /
+`is_equivalence` to check the defining invariants.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Final, Iterable, Literal, NamedTuple, Sequence
 
 Tag = Literal["s", "t"]
@@ -42,52 +51,82 @@ def tgt(j: int) -> Node:
 Pair = tuple[Node, Node]
 
 
-def _coerce_pairs(pairs: Iterable) -> frozenset[Pair]:
-    return frozenset((Node(*x), Node(*y)) for (x, y) in pairs)
+def flat_pairs(rows: Iterable[int]) -> list[tuple[int, int]]:
+    """(i, j) for each set bit j of row i, in ascending order."""
+    pairs = []
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            pairs.append((i, low.bit_length() - 1))
+            row ^= low
+    return pairs
 
 
-@dataclass(frozen=True)
-class SplitRelation:
-    """A set of ordered pairs over n source and m target points."""
-
+@dataclass(frozen=True, init=False)
+class _RowValue:
+    # The representation both value classes share: the sizes and the rows.
     n: int
     m: int
-    pairs: frozenset[Pair] = field(default_factory=frozenset)
+    rows: tuple[int, ...]
+
+    def __init__(self, n: int, m: int, pairs: Iterable = frozenset()) -> None:
+        self.__dict__.update(n=n, m=m, pairs=self._coerce(pairs))
+        if n < 0 or m < 0:
+            raise ValueError(f"negative size in {n}->{m}")
+        self.__post_init__()  # checks the pairs and builds the rows
+
+    @classmethod
+    def _of_rows(cls, n: int, m: int, rows: Iterable[int]):
+        """The value with these rows, built without a pair set."""
+        value = object.__new__(cls)
+        value.__dict__.update(n=n, m=m, rows=tuple(rows))
+        return value
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+
+
+@dataclass(frozen=True, init=False)
+class SplitRelation(_RowValue):
+    """A set of ordered pairs over n source and m target points."""
+
+    @staticmethod
+    def _coerce(pairs: Iterable) -> frozenset[Pair]:
+        return frozenset((Node(*x), Node(*y)) for (x, y) in pairs)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", _coerce_pairs(self.pairs))
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"negative size in {self.n}->{self.m}")
-        for pair in self.pairs:
-            for node in pair:
+        n, m = self.n, self.m
+        rows = [0] * (n + m)
+        for x, y in self.pairs:
+            for node in (x, y):
                 if node.tag not in (SRC, TGT):
                     raise ValueError(f"bad tag in node {node!r}")
-                bound = self.n if node.tag == SRC else self.m
-                if not 0 <= node.pos < bound:
+                if not 0 <= node.pos < (n if node.tag == SRC else m):
                     raise ValueError(
-                        f"node {node!r} out of bounds for type "
-                        f"{self.n}->{self.m}"
+                        f"node {node!r} out of bounds for type {n}->{m}"
                     )
+            rows[x.pos + n * (x.tag == TGT)] |= 1 << (y.pos + n * (y.tag == TGT))
+        self.__dict__["rows"] = tuple(rows)
+
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        nodes = self.nodes()
+        return frozenset((nodes[i], nodes[j]) for i, j in flat_pairs(self.rows))
 
     def nodes(self) -> list[Node]:
         """All points of the ambient type, in canonical order."""
         return [src(i) for i in range(self.n)] + [tgt(j) for j in range(self.m)]
 
     def is_reflexive(self) -> bool:
-        return all((x, x) in self.pairs for x in self.nodes())
+        return all(row >> i & 1 for i, row in enumerate(self.rows))
 
     def is_transitive(self) -> bool:
-        by_first: dict[Node, set[Node]] = {}
-        for x, y in self.pairs:
-            by_first.setdefault(x, set()).add(y)
-        return all(
-            (x, z) in self.pairs
-            for (x, y) in self.pairs
-            for z in by_first.get(y, ())
-        )
+        rows = self.rows
+        return all(rows[i] | rows[j] == rows[i] for i, j in flat_pairs(rows))
 
     def is_symmetric(self) -> bool:
-        return all((y, x) in self.pairs for (x, y) in self.pairs)
+        rows = self.rows
+        return all(rows[j] >> i & 1 for i, j in flat_pairs(rows))
 
     def is_preorder(self) -> bool:
         return self.is_reflexive() and self.is_transitive()
@@ -96,14 +135,14 @@ class SplitRelation:
         return self.is_preorder() and self.is_symmetric()
 
     def to_json_obj(self) -> dict:
+        nodes = self.nodes()
         return {
             "n": self.n,
             "m": self.m,
-            "pairs": [[list(x), list(y)] for (x, y) in sorted(self.pairs)],
+            "pairs": [
+                [list(nodes[i]), list(nodes[j])] for i, j in flat_pairs(self.rows)
+            ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "SplitRelation":
@@ -111,9 +150,7 @@ class SplitRelation:
         return cls(
             obj["n"],
             obj["m"],
-            frozenset(
-                (Node(x[0], x[1]), Node(y[0], y[1])) for (x, y) in obj["pairs"]
-            ),
+            (((x[0], x[1]), (y[0], y[1])) for (x, y) in obj["pairs"]),
         )
 
 
@@ -123,48 +160,45 @@ SplitPreorder = SplitRelation
 SplitEquivalence = SplitRelation
 
 
-@dataclass(frozen=True)
-class BinRel:
+@dataclass(frozen=True, init=False)
+class BinRel(_RowValue):
     """A plain binary relation between the ordinals n and m."""
 
-    n: int
-    m: int
-    pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    @staticmethod
+    def _coerce(pairs: Iterable) -> frozenset[tuple[int, int]]:
+        return frozenset((int(i), int(j)) for (i, j) in pairs)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "pairs", frozenset((int(i), int(j)) for (i, j) in self.pairs)
-        )
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"negative size in {self.n}->{self.m}")
+        n, m = self.n, self.m
+        rows = [0] * n
         for i, j in self.pairs:
-            if not (0 <= i < self.n and 0 <= j < self.m):
-                raise ValueError(
-                    f"pair ({i},{j}) out of bounds for type {self.n}->{self.m}"
-                )
+            if not (0 <= i < n and 0 <= j < m):
+                raise ValueError(f"pair ({i},{j}) out of bounds for type {n}->{m}")
+            rows[i] |= 1 << j
+        self.__dict__["rows"] = tuple(rows)
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(flat_pairs(self.rows))
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "m": self.m,
-            "pairs": [list(p) for p in sorted(self.pairs)],
+            "pairs": [[i, j] for i, j in flat_pairs(self.rows)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "BinRel":
         obj = json.loads(text)
-        return cls(obj["n"], obj["m"], frozenset(map(tuple, obj["pairs"])))
+        return cls(obj["n"], obj["m"], map(tuple, obj["pairs"]))
 
 
 # --------------------------------------------------------------------
-# row machinery: one bitmask row per point of a flat index space, the
-# n sources first and then the m targets (the indexing EtaNF uses)
+# row machinery
 
 
-def _closed(rows: list[int], vias: Iterable[int]) -> list[int]:
+def _closed(rows: Sequence[int], vias: Iterable[int]) -> Sequence[int]:
     # Warshall sweep through the points in `vias`; adds exactly the pairs
     # reachable by chains whose inner points all lie in `vias`.
     for via in vias:
@@ -172,30 +206,6 @@ def _closed(rows: list[int], vias: Iterable[int]) -> list[int]:
         bit = 1 << via
         rows = [row | vrow if row & bit else row for row in rows]
     return rows
-
-
-def _rows_of(r: SplitRelation) -> list[int]:
-    rows = [0] * (r.n + r.m)
-    for x, y in r.pairs:
-        rows[x.pos if x.tag == SRC else r.n + x.pos] |= 1 << (
-            y.pos if y.tag == SRC else r.n + y.pos
-        )
-    return rows
-
-
-def split_from_rows(n: int, m: int, rows: Iterable[int]) -> SplitRelation:
-    """The split relation whose flat row i holds the successors of point i."""
-    nodes = [src(i) for i in range(n)] + [tgt(j) for j in range(m)]
-    return SplitRelation(
-        n,
-        m,
-        frozenset(
-            (nodes[i], nodes[j])
-            for i, row in enumerate(rows)
-            for j in range(n + m)
-            if row >> j & 1
-        ),
-    )
 
 
 def compose_rows(
@@ -248,30 +258,37 @@ def compose_rows(
 
 def domain_of(r: SplitRelation) -> frozenset[Node]:
     """All points that occur in some pair of `r`, on either side."""
-    return frozenset(x for pair in r.pairs for x in pair)
+    used = 0
+    for i, row in enumerate(r.rows):
+        if row:
+            used |= 1 << i | row
+    return frozenset(x for i, x in enumerate(r.nodes()) if used >> i & 1)
 
 
 def transitive_closure(p: SplitRelation) -> SplitPreorder:
     """Least transitive superset of `p`; its domain equals `p`'s domain."""
-    return split_from_rows(p.n, p.m, _closed(_rows_of(p), range(p.n + p.m)))
+    return SplitRelation._of_rows(p.n, p.m, _closed(p.rows, range(p.n + p.m)))
 
 
 def bar_union(p: SplitRelation, q: SplitRelation) -> SplitPreorder:
     """Transitive closure of the union (the composition workhorse)."""
     if (p.n, p.m) != (q.n, q.m):
-        raise ValueError(
-            f"cannot unite {p.n}->{p.m} with {q.n}->{q.m}"
-        )
-    return transitive_closure(SplitRelation(p.n, p.m, p.pairs | q.pairs))
+        raise ValueError(f"cannot unite {p.n}->{p.m} with {q.n}->{q.m}")
+    rows = [a | b for a, b in zip(p.rows, q.rows)]
+    return SplitRelation._of_rows(p.n, p.m, _closed(rows, range(p.n + p.m)))
 
 
 def restrict_away(r: SplitRelation, x: Iterable[Node]) -> SplitRelation:
     """Drop every pair that touches a point of `x`."""
-    banned = frozenset(Node(*v) for v in x)
-    return SplitRelation(
-        r.n,
-        r.m,
-        frozenset((a, b) for (a, b) in r.pairs if a not in banned and b not in banned),
+    n, m = r.n, r.m
+    banned = 0
+    for tag, pos in x:
+        if tag in (SRC, TGT) and 0 <= pos < (n if tag == SRC else m):
+            banned |= 1 << (pos if tag == SRC else n + pos)
+    return SplitRelation._of_rows(
+        n,
+        m,
+        (0 if banned >> i & 1 else row & ~banned for i, row in enumerate(r.rows)),
     )
 
 
@@ -284,37 +301,22 @@ def compose_split(p: SplitPreorder, q: SplitPreorder) -> SplitPreorder:
     inputs are.
 
     Any split relations are accepted, transitive or not, so the glued
-    relation is closed through every point.  The work happens on bit
-    rows (`compose_rows`); the `Node`-pair view is rebuilt for the
-    result.  Term evaluation does not come through here: it composes
-    rows directly and builds pairs only for the final value.
+    relation is closed through every point (`compose_rows`).  Term
+    evaluation does not come through here: it composes the rows of its
+    own memo and builds a value only for the final result.
     """
     if p.m != q.n:
         raise ValueError(
             f"cannot compose {p.n}->{p.m} with {q.n}->{q.m}: middle sizes differ"
         )
-    rows = compose_rows(p.n, p.m, q.m, _rows_of(p), _rows_of(q))
-    return split_from_rows(p.n, q.m, rows)
+    rows = compose_rows(p.n, p.m, q.m, p.rows, q.rows)
+    return SplitRelation._of_rows(p.n, q.m, rows)
 
 
 def identity_split(n: int) -> SplitEquivalence:
     """Each source point doubly linked with its target copy."""
-    pairs = set()
-    for i in range(n):
-        pairs.update(
-            {
-                (src(i), src(i)),
-                (tgt(i), tgt(i)),
-                (src(i), tgt(i)),
-                (tgt(i), src(i)),
-            }
-        )
-    return SplitRelation(n, n, frozenset(pairs))
-
-
-def _all_loops(n: int, m: int) -> frozenset[Pair]:
-    return frozenset(
-        [(src(i), src(i)) for i in range(n)] + [(tgt(j), tgt(j)) for j in range(m)]
+    return SplitRelation._of_rows(
+        n, n, [1 << i | 1 << (n + i) for i in range(n)] * 2
     )
 
 
@@ -325,28 +327,24 @@ def embed_relation(r: BinRel) -> SplitPreorder:
     to the down-only strands, not to the identity split preorder, so the
     embedding is a semi-functor.
     """
-    pairs = _all_loops(r.n, r.m) | frozenset(
-        (src(a), tgt(b)) for (a, b) in r.pairs
-    )
-    return SplitRelation(r.n, r.m, pairs)
+    n, m = r.n, r.m
+    sources = [1 << i | row << n for i, row in enumerate(r.rows)]
+    return SplitRelation._of_rows(n, m, sources + [1 << (n + j) for j in range(m)])
 
 
 def embed_function(f: BinRel) -> SplitEquivalence:
     """Equivalence whose classes are one value with all of its arguments."""
-    mapping: dict[int, int] = {}
-    for a, b in f.pairs:
-        if a in mapping:
+    n, m = f.n, f.m
+    for a, row in enumerate(f.rows):
+        if row & (row - 1):
             raise ValueError(f"not single-valued at {a}")
-        mapping[a] = b
-    if len(mapping) != f.n:
+    if not all(f.rows):
         raise ValueError("not total")
-    classes: dict[int, list[Node]] = {b: [tgt(b)] for b in range(f.m)}
-    for a, b in mapping.items():
-        classes[b].append(src(a))
-    pairs = frozenset(
-        (x, y) for members in classes.values() for x in members for y in members
-    )
-    return SplitRelation(f.n, f.m, pairs)
+    images = [row.bit_length() - 1 for row in f.rows]
+    classes = [1 << (n + b) for b in range(m)]
+    for a, b in enumerate(images):
+        classes[b] |= 1 << a
+    return SplitRelation._of_rows(n, m, [classes[b] for b in images] + classes)
 
 
 def compose_rel(r: BinRel, s: BinRel) -> BinRel:
@@ -355,20 +353,16 @@ def compose_rel(r: BinRel, s: BinRel) -> BinRel:
         raise ValueError(
             f"cannot compose {r.n}->{r.m} with {s.n}->{s.m}: middle sizes differ"
         )
-    by_first: dict[int, set[int]] = {}
-    for b, c in s.pairs:
-        by_first.setdefault(b, set()).add(c)
-    return BinRel(
-        r.n,
-        s.m,
-        frozenset((a, c) for (a, b) in r.pairs for c in by_first.get(b, ())),
-    )
+    rows = [0] * r.n
+    for i, j in flat_pairs(r.rows):
+        rows[i] |= s.rows[j]
+    return BinRel._of_rows(r.n, s.m, rows)
 
 
 def strict_part(p: SplitPreorder) -> SplitRelation:
     """The preorder with its diagonal removed; satisfies strict transitivity."""
-    return SplitRelation(
-        p.n, p.m, frozenset((x, y) for (x, y) in p.pairs if x != y)
+    return SplitRelation._of_rows(
+        p.n, p.m, [row & ~(1 << i) for i, row in enumerate(p.rows)]
     )
 
 
@@ -379,12 +373,16 @@ def semi_embed_M(p: SplitPreorder) -> SplitPreorder:
     source-to-target pairs); realizes the add-a-strand endofunctor on
     the embedded copy of plain relations.
     """
-    strict = strict_part(p).pairs
-    looks_embedded = p.is_reflexive() and all(
-        x.tag == SRC and y.tag == TGT for (x, y) in strict
-    )
+    n, m = p.n, p.m
+    sources, low = p.rows[:n], (1 << n) - 1
+    looks_embedded = all(
+        row & low == 1 << i for i, row in enumerate(sources)
+    ) and all(row == 1 << (n + j) for j, row in enumerate(p.rows[n:]))
     if not looks_embedded:
         raise ValueError("input is not the embedding of a plain relation")
-    shifted = frozenset((src(x.pos + 1), tgt(y.pos + 1)) for (x, y) in strict)
-    pairs = _all_loops(p.n + 1, p.m + 1) | shifted | {(src(0), tgt(0))}
-    return SplitRelation(p.n + 1, p.m + 1, pairs)
+    # the fresh strand is source 0 and target 0; the others move up by one
+    rows = [1 | 1 << (n + 1)] + [
+        1 << (i + 1) | row >> n << (n + 2) for i, row in enumerate(sources)
+    ]
+    targets = [1 << (n + 1 + j) for j in range(m + 1)]
+    return SplitRelation._of_rows(n + 1, m + 1, rows + targets)

@@ -33,9 +33,10 @@ Without a category, `equal` resolves first.  `eval_term` resolves, then
 reads `_boundary(_rows(...))`.  The command line calls the second step
 of each directly: its parser admits only atoms of the command's
 signature, so the terms need no resolving.  Normal forms and separation
-read their payloads and pivots from rows.  `SplitRelation` and `BinRel`,
-with their pair views, are built only for public results: by
-`eval_term`, `eval_strict` and the results of a separation witness.
+read their payloads and pivots from rows.  A `SplitRelation` or
+`BinRel` is built only for a public result, by `eval_term` and for the
+results of a separation witness, and it takes the rows as they are: no
+pair set is built unless its `.pairs` view is read.
 Each public call evaluates through a memo of its own, keyed on the
 value of each subterm, so a subterm repeated inside the call is
 evaluated once and nothing is kept between calls.  `eq --separate`
@@ -43,12 +44,7 @@ passes the memo of its comparison on to the separation.
 """
 from __future__ import annotations
 
-from splitrel.relations import (
-    BinRel,
-    SplitRelation,
-    compose_rows,
-    split_from_rows,
-)
+from splitrel.relations import BinRel, SplitRelation, compose_rows
 from splitrel.terms import (
     ArrowTerm,
     Category,
@@ -257,18 +253,8 @@ def _leaf(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
     return entry
 
 
-def _flat_pairs(rows: list[int], width: int) -> list[tuple[int, int]]:
-    """(i, j) for each set bit j < `width` of row i, in ascending order."""
-    return [
-        (i, j) for i, row in enumerate(rows) for j in range(width) if row >> j & 1
-    ]
-
-
 def _boundary(value: Rows, category: Category) -> SemValue:
-    n, m, rows = value
-    if category is Category.RB:
-        return BinRel(n, m, frozenset(_flat_pairs(rows, m)))
-    return split_from_rows(n, m, rows)
+    return (BinRel if category is Category.RB else SplitRelation)._of_rows(*value)
 
 
 def eval_term(t: ArrowTerm, category: Category | None = None) -> SemValue:
@@ -309,12 +295,3 @@ def _same_value(f: ArrowTerm, g: ArrowTerm, category: Category, memo: dict) -> b
         f_type, g_type = TermType(*f_value[:2]), TermType(*g_value[:2])
         raise TermTypeError(f"type mismatch: {f_type} vs {g_type}")
     return f_value == g_value
-
-
-def eval_strict(t: ArrowTerm, category: Category | None = None) -> SplitRelation:
-    """The strict (loop-free) part of a PF or EF value."""
-    resolved = resolve_category(t, category=category)
-    if resolved is Category.RB:
-        raise TermTypeError("relational values have no strict part")
-    n, m, rows = _rows(t, resolved, {})
-    return split_from_rows(n, m, (row & ~(1 << i) for i, row in enumerate(rows)))

@@ -615,56 +615,3 @@ def h_via_nabla(n: int, m: int) -> ArrowTerm:
         ],
         n + 2 + m,
     )
-
-
-_DERIVED: dict[str, tuple] = {
-    "nabla-PF": (0, lambda: nabla_pf()),
-    "delta-PF": (0, lambda: delta_pf()),
-    "down": (0, lambda: down_pf()),
-    "up": (0, lambda: up_pf()),
-    "up-alt": (0, lambda: up_pf_alt()),
-    "nabla-down": (0, lambda: nabla_down_pf()),
-    "delta-down": (0, lambda: delta_down_pf()),
-    "nabla-EF": (0, lambda: nabla_ef()),
-    "delta-EF": (0, lambda: delta_ef()),
-    "hbar-PF": (0, lambda: hbar_in_pf()),
-    "tau-RB": (0, lambda: tau_rb()),
-    "tau-RB-alt": (0, lambda: tau_rb_alt()),
-    "tau-acute": (1, tau_acute),
-    "tau-grave": (1, tau_grave),
-    "nabla-unfold": (1, nabla_unfold),
-    "delta-unfold": (1, delta_unfold),
-    "h-via-nabla": (2, h_via_nabla),
-    "eta": (3, eta_term),
-    "etabar": (3, etabar_term),
-    "iota": (4, iota_term),
-}
-
-_DERIVED_WITH_CATEGORY: dict[str, tuple] = {
-    "unit-power": (1, unit_power),
-    "counit-power": (1, counit_power),
-    "zero": (2, zero_term),
-    "natural": (1, natural_term),
-}
-
-
-def derived(name: str, *params: int, category: Category | None = None) -> ArrowTerm:
-    """Build a named derived arrow from integer parameters.
-
-    Names cover the PF merge/co-merge family, the directional strand
-    arrows, the EF and RB analogues, bridges, permuted-fold helpers and
-    the empty/single-pair relation arrows.
-    """
-    if name in _DERIVED:
-        arity, build = _DERIVED[name]
-        if category is not None:
-            raise ValueError(f"derived arrow {name!r} takes no category")
-        if len(params) != arity:
-            raise ValueError(f"derived arrow {name!r} takes {arity} parameters")
-        return build(*params)
-    if name in _DERIVED_WITH_CATEGORY:
-        arity, build = _DERIVED_WITH_CATEGORY[name]
-        if len(params) != arity:
-            raise ValueError(f"derived arrow {name!r} takes {arity} parameters")
-        return build(*params, category or Category.PF)
-    raise ValueError(f"unknown derived arrow {name!r}")

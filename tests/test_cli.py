@@ -1,5 +1,6 @@
 """Command line behaviour: golden outputs, exit codes, input plumbing."""
 
+import hashlib
 import io
 import pathlib
 import random
@@ -115,6 +116,85 @@ def test_negative_sizes_are_rejected(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("precondition failed: --")
     assert captured.err.count("\n") == 1
+
+
+# One text per atom that takes a width, one point over the limit on a side.
+# `union` takes its type from its arguments, so its text is over through them.
+WIDER_THAN_THE_LIMIT = [
+    (["eval", "id(4097)"], "'id' of type 4097->4097"),
+    (["eval", "pad(4095, h, 0)"], "'pad' of type 4097->4097"),
+    (["eval", "pad(0, id(4096), 1)"], "'pad' of type 4097->4097"),
+    (["eval", "nabla(2049)"], "'nabla' of type 4098->2049"),
+    (["eval", "delta(2049)"], "'delta' of type 2049->4098"),
+    (["eval", "unitk(4097)"], "'unitk' of type 0->4097"),
+    (["eval", "counitk(4097)"], "'counitk' of type 4097->0"),
+    (["eval", "eta(0, 1, 4097)"], "'eta' of type 4097->4097"),
+    (["eval", "etabar(0, 1, 4097)"], "'etabar' of type 4097->4097"),
+    (["eval", "iota(0, 0; 4097, 1)"], "'iota' of type 4097->1"),
+    (["eval", "zero(1, 4097)"], "'zero' of type 1->4097"),
+    (["eval", "plus(id(4096), id(1))"], "'plus' of type 4097->4097"),
+    (["eval", "union(id(4097), id(4097))"], "'id' of type 4097->4097"),
+    (["eval", "pad(99999999, h, 0)"], "'pad' of type 100000001->100000001"),
+    (["eq", "h", "pad(0, h, 4095)"], "'pad' of type 4097->4097"),
+    (
+        ["render", "--format", "json", '{"n":1000000000,"m":0,"pairs":[]}'],
+        "value of type 1000000000->0",
+    ),
+    (
+        ["render", "--category", "RB", '{"n":1,"m":4097,"pairs":[[0,0]]}'],
+        "value of type 1->4097",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, what", WIDER_THAN_THE_LIMIT)
+def test_texts_and_payloads_wider_than_the_limit_are_refused(argv, what, capsys):
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"precondition failed: {what} is wider than ")
+    assert captured.err.count("\n") == 1
+
+
+def test_the_widest_texts_evaluate(capsys):
+    # 4,096 points on a side is the limit; the bytes were recorded from the
+    # implementation that held pair sets
+    assert main(["eval", "pad(4094, h, 0)"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 384_462
+    assert hashlib.sha256(out).hexdigest() == (
+        "21bb1eeb9ea482f1574e370fe24612fe154435683842f0745201a08ac25905e9"
+    )
+    assert main(["eval", "pad(2000, h, 0)"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "8c3b3ee69645f7802a116c35c7f29824c2945ee7284496280400993c31b48f6b"
+    )
+    assert main(["eval", "--category", "RB", "id(4000)"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "884c73c689af61cb3780a8b5b22a18f85ee67b4d449f7deb29776f9ac7be1700"
+    )
+    for argv in (["eval", "unitk(4096)"], ["eval", "nabla(2048)"]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
+def test_eval_json_never_builds_the_pair_view(capsys, monkeypatch):
+    printed = []
+    to_json = cli._VALUE_FORMATS["json"]
+
+    def keep(value):
+        printed.append(value)
+        return to_json(value)
+
+    monkeypatch.setitem(cli._VALUE_FORMATS, "json", keep)
+    for category, text in [("PF", "pad(1, h, 0) . pad(0, swap, 1)"), ("EF", "hbar"),
+                           ("RB", "delta(1) . nabla(1)")]:
+        assert main(["eval", "--category", category, text]) == 0
+    capsys.readouterr()
+    assert len(printed) == 3
+    assert all("pairs" not in value.__dict__ for value in printed)
 
 
 @pytest.mark.parametrize("option", ["--max-depth", "--max-pad", "--max-arity"])

@@ -4,8 +4,6 @@ import random
 import re
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from splitrel.fuzz import random_term, random_term_pair
 from splitrel.normalform import (
@@ -21,7 +19,6 @@ from splitrel.normalform import (
     etabar_term,
     iota_nf,
     iota_nf_term,
-    perm_remove,
     perm_term,
 )
 from splitrel.relations import BinRel
@@ -43,61 +40,6 @@ from splitrel.terms import (
     union_term,
     zero_term,
 )
-
-
-# ---------------------------------------------------------------- perm_remove
-
-
-def test_perm_remove_identity_shrinks():
-    assert perm_remove(Perm.identity(4), 2, 2) == Perm.identity(3)
-
-
-def test_perm_remove_to_empty():
-    assert perm_remove(Perm((0,)), 0, 0) == Perm(())
-
-
-def test_perm_remove_handcomputed():
-    # p maps 0->2, 1->0, 2->3, 3->1; dropping 2->3 leaves 0->2, 1->0, 2->1
-    assert perm_remove(Perm((2, 0, 3, 1)), 2, 3) == Perm((2, 0, 1))
-
-
-def test_perm_remove_rejects_wrong_image():
-    with pytest.raises(ValueError, match="maps 1 to 0, not 2"):
-        perm_remove(Perm((2, 0, 1)), 1, 2)
-
-
-def test_perm_remove_rejects_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        perm_remove(Perm((1, 0)), 5, 0)
-
-
-@given(st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))), st.data())
-def test_perm_remove_is_a_permutation(images, data):
-    p = Perm(tuple(images))
-    k = data.draw(st.integers(0, p.size - 1))
-    q = perm_remove(p, k, p(k))
-    assert q.size == p.size - 1
-
-
-def test_perm_remove_strand_insertion_laws():
-    """Inserting a fresh strand at k, permuting, equals permuting the rest
-    first and inserting at the image position; dually for deletion."""
-    rng = random.Random(20260816)
-    for _ in range(200):
-        size = rng.randrange(1, 6)
-        images = list(range(size))
-        rng.shuffle(images)
-        p = Perm(tuple(images))
-        k = rng.randrange(size)
-        l = p(k)
-        q = perm_remove(p, k, l)
-        n = size - 1
-        lhs = Comp(perm_term(p), pad(k, Unit(), n - k))
-        rhs = Comp(pad(l, Unit(), n - l), perm_term(q))
-        assert equal(lhs, rhs)
-        lhs_c = Comp(pad(l, Counit(), n - l), perm_term(p))
-        rhs_c = Comp(perm_term(q), pad(k, Counit(), n - k))
-        assert equal(lhs_c, rhs_c)
 
 
 # ---------------------------------------------------------- payload validity

@@ -31,7 +31,6 @@ from splitrel.relations import (
     identity_split,
     restrict_away,
     semi_embed_M,
-    split_from_rows,
     src,
     strict_part,
     tgt,
@@ -131,9 +130,9 @@ def random_equivalence(rng: random.Random, n: int, m: int, density=0.2) -> Split
 
 
 @st.composite
-def split_relations(draw, max_size=3):
-    n = draw(st.integers(0, max_size))
-    m = draw(st.integers(0, max_size))
+def split_relations(draw, max_size=3, n=None, m=None):
+    n = draw(st.integers(0, max_size)) if n is None else n
+    m = draw(st.integers(0, max_size)) if m is None else m
     nodes = all_nodes(n, m)
     if not nodes:
         return SplitRelation(n, m, frozenset())
@@ -316,11 +315,11 @@ def _flat_rows(r: SplitRelation) -> list[int]:
     return rows
 
 
-def test_split_from_rows_inverts_flat_rows():
+def test_of_rows_inverts_flat_rows():
     rng = random.Random(61)
     for _ in range(100):
         r = random_relation(rng, rng.randint(0, 3), rng.randint(0, 3))
-        assert split_from_rows(r.n, r.m, _flat_rows(r)) == r
+        assert SplitRelation._of_rows(r.n, r.m, _flat_rows(r)) == r
 
 
 def test_compose_rows_middle_band_suffices_for_transitive_factors():
@@ -339,7 +338,7 @@ def test_compose_rows_middle_band_suffices_for_transitive_factors():
         rows = compose_rows(
             a, b, c, _flat_rows(p), _flat_rows(q), range(a, a + b)
         )
-        assert split_from_rows(a, c, rows) == compose_oracle(p, q)
+        assert SplitRelation._of_rows(a, c, rows) == compose_oracle(p, q)
         assert rows == compose_rows(a, b, c, _flat_rows(p), _flat_rows(q))
 
 
@@ -585,6 +584,60 @@ def test_out_of_bounds_nodes_rejected():
         BinRel(1, 1, {(0, 1)})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SplitRelation(-1, 0), "negative size in -1->0"),
+        (lambda: SplitRelation(0, -2), "negative size in 0->-2"),
+        (
+            lambda: SplitRelation(1, 1, {(("x", 0), ("s", 0))}),
+            "bad tag in node Node(tag='x', pos=0)",
+        ),
+        (
+            lambda: SplitRelation(1, 1, {(src(1), tgt(0))}),
+            "node Node(tag='s', pos=1) out of bounds for type 1->1",
+        ),
+        (
+            lambda: SplitRelation(1, 1, {(src(0), tgt(-1))}),
+            "node Node(tag='t', pos=-1) out of bounds for type 1->1",
+        ),
+        (lambda: BinRel(-1, 1), "negative size in -1->1"),
+        (lambda: BinRel(1, 1, {(0, 1)}), "pair (0,1) out of bounds for type 1->1"),
+        (lambda: BinRel(2, 1, {(-1, 0)}), "pair (-1,0) out of bounds for type 2->1"),
+        (
+            lambda: embed_function(BinRel(2, 2, {(0, 0), (0, 1)})),
+            "not single-valued at 0",
+        ),
+        (lambda: embed_function(BinRel(2, 2, {(0, 0)})), "not total"),
+        # a value that is neither: single-valuedness is reported first
+        (
+            lambda: embed_function(BinRel(3, 2, {(1, 0), (1, 1)})),
+            "not single-valued at 1",
+        ),
+        (
+            lambda: semi_embed_M(identity_split(1)),
+            "input is not the embedding of a plain relation",
+        ),
+        (
+            lambda: bar_union(identity_split(1), identity_split(2)),
+            "cannot unite 1->1 with 2->2",
+        ),
+        (
+            lambda: compose_split(identity_split(2), identity_split(3)),
+            "cannot compose 2->2 with 3->3: middle sizes differ",
+        ),
+        (
+            lambda: compose_rel(BinRel(1, 2), BinRel(3, 1)),
+            "cannot compose 1->2 with 3->1: middle sizes differ",
+        ),
+    ],
+)
+def test_error_messages_are_pinned(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @given(split_relations())
 def test_split_relation_json_round_trip(r):
     assert SplitRelation.from_json(r.to_json()) == r
@@ -611,3 +664,172 @@ def test_json_is_valid_and_sorted():
         p = random_preorder(rng, 3, 3)
         obj = json.loads(p.to_json())
         assert obj["pairs"] == sorted(obj["pairs"])
+
+
+# --------------------------------------------------------------------
+# the row representation against the pair view
+#
+# The oracles below are the bodies the operations had when a value held
+# a set of `Node` pairs; every row-based operation is compared with its
+# oracle on random values.
+
+
+@st.composite
+def bin_rels(draw, max_size=3, n=None):
+    n = draw(st.integers(0, max_size)) if n is None else n
+    m = draw(st.integers(0, max_size))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(m - 1, 0)))
+    return BinRel(n, m, draw(st.frozensets(pairs)) if n and m else frozenset())
+
+
+def restrict_away_oracle(r, x):
+    banned = frozenset(Node(*v) for v in x)
+    return frozenset(
+        (a, b) for (a, b) in r.pairs if a not in banned and b not in banned
+    )
+
+
+def identity_oracle(n):
+    pairs = set()
+    for i in range(n):
+        pairs.update(
+            {(src(i), src(i)), (tgt(i), tgt(i)), (src(i), tgt(i)), (tgt(i), src(i))}
+        )
+    return frozenset(pairs)
+
+
+def embed_relation_oracle(r):
+    return loops(r.n, r.m) | frozenset((src(a), tgt(b)) for (a, b) in r.pairs)
+
+
+def embed_function_oracle(f):
+    mapping = {}
+    for a, b in sorted(f.pairs):
+        if a in mapping:
+            raise ValueError(f"not single-valued at {a}")
+        mapping[a] = b
+    if len(mapping) != f.n:
+        raise ValueError("not total")
+    classes = {b: [tgt(b)] for b in range(f.m)}
+    for a, b in mapping.items():
+        classes[b].append(src(a))
+    return frozenset(
+        (x, y) for members in classes.values() for x in members for y in members
+    )
+
+
+def compose_rel_oracle(r, s):
+    by_first = {}
+    for b, c in s.pairs:
+        by_first.setdefault(b, set()).add(c)
+    return frozenset((a, c) for (a, b) in r.pairs for c in by_first.get(b, ()))
+
+
+def strict_part_oracle(p):
+    return frozenset((x, y) for (x, y) in p.pairs if x != y)
+
+
+def semi_embed_oracle(p):
+    strict = strict_part_oracle(p)
+    looks_embedded = all((x, x) in p.pairs for x in all_nodes(p.n, p.m)) and all(
+        x.tag == SRC and y.tag == TGT for (x, y) in strict
+    )
+    if not looks_embedded:
+        raise ValueError("input is not the embedding of a plain relation")
+    shifted = frozenset((src(x.pos + 1), tgt(y.pos + 1)) for (x, y) in strict)
+    return loops(p.n + 1, p.m + 1) | shifted | {(src(0), tgt(0))}
+
+
+def is_transitive_oracle(r):
+    by_first = {}
+    for x, y in r.pairs:
+        by_first.setdefault(x, set()).add(y)
+    return all(
+        (x, z) in r.pairs for (x, y) in r.pairs for z in by_first.get(y, ())
+    )
+
+
+def outcome(build):
+    """The pairs `build` returns, or the message of the ValueError it raises."""
+    try:
+        value = build()
+    except ValueError as exc:
+        return str(exc)
+    return value if isinstance(value, frozenset) else value.pairs
+
+
+@given(split_relations())
+def test_pairs_and_rows_round_trip(r):
+    assert SplitRelation(r.n, r.m, r.pairs) == r
+    assert SplitRelation(r.n, r.m, pairs=r.pairs) == r
+    from_rows = SplitRelation._of_rows(r.n, r.m, r.rows)
+    assert "pairs" not in from_rows.__dict__
+    assert from_rows == r and hash(from_rows) == hash(r)
+    assert from_rows.pairs == r.pairs
+    assert from_rows.pairs is from_rows.pairs  # built once, then kept
+    assert r.to_json_obj()["pairs"] == [
+        [list(x), list(y)] for (x, y) in sorted(r.pairs)
+    ]
+
+
+@given(bin_rels())
+def test_binrel_pairs_and_rows_round_trip(r):
+    assert BinRel(r.n, r.m, r.pairs) == r
+    from_rows = BinRel._of_rows(r.n, r.m, r.rows)
+    assert "pairs" not in from_rows.__dict__
+    assert from_rows == r and hash(from_rows) == hash(r)
+    assert from_rows.pairs == r.pairs
+    assert r.to_json_obj()["pairs"] == [list(p) for p in sorted(r.pairs)]
+
+
+def test_a_value_keeps_the_pairs_it_was_given_and_stays_frozen():
+    given_pairs = frozenset({(src(0), tgt(0))})
+    r = SplitRelation(1, 1, given_pairs)
+    assert r.__dict__["pairs"] == given_pairs and r.rows == (0b10, 0)
+    assert BinRel(2, 1, {(1, 0)}).rows == (0, 1)
+    with pytest.raises(AttributeError):
+        r.pairs = frozenset()
+    with pytest.raises(AttributeError):
+        r.rows = (0, 0)
+    assert SplitRelation(1, 1) != BinRel(1, 1)
+
+
+@settings(max_examples=200)
+@given(split_relations(), st.data())
+def test_split_operations_match_their_pair_set_oracles(r, data):
+    n, m = r.n, r.m
+    q = data.draw(split_relations(n=n, m=m))
+    nodes = all_nodes(n, m)
+    x = data.draw(st.frozensets(st.sampled_from(nodes))) if nodes else frozenset()
+    assert transitive_closure(r).pairs == closure_oracle(r.pairs)
+    assert bar_union(r, q).pairs == closure_oracle(r.pairs | q.pairs)
+    assert restrict_away(r, x).pairs == restrict_away_oracle(r, x)
+    assert strict_part(r).pairs == strict_part_oracle(r)
+    assert domain_of(r) == frozenset(v for pair in r.pairs for v in pair)
+    assert r.is_reflexive() == all((v, v) in r.pairs for v in nodes)
+    assert r.is_transitive() == is_transitive_oracle(r)
+    assert r.is_symmetric() == all((y, v) in r.pairs for (v, y) in r.pairs)
+    assert outcome(lambda: semi_embed_M(r)) == outcome(lambda: semi_embed_oracle(r))
+    other = data.draw(split_relations(n=m))
+    assert compose_split(r, other) == compose_oracle(r, other)
+
+
+@settings(max_examples=200)
+@given(bin_rels(), st.data())
+def test_relation_operations_match_their_pair_set_oracles(r, data):
+    s = data.draw(bin_rels(n=r.m))
+    assert compose_rel(r, s).pairs == compose_rel_oracle(r, s)
+    assert embed_relation(r).pairs == embed_relation_oracle(r)
+    embedded = embed_relation(r)
+    assert semi_embed_M(embedded).pairs == semi_embed_oracle(embedded)
+    assert outcome(lambda: embed_function(r)) == outcome(
+        lambda: embed_function_oracle(r)
+    )
+    images = data.draw(st.lists(st.integers(0, 2), min_size=r.n, max_size=r.n))
+    f = BinRel(r.n, 3, enumerate(images))
+    assert embed_function(f).pairs == embed_function_oracle(f)
+
+
+def test_identity_matches_its_pair_set_oracle():
+    for n in range(6):
+        assert identity_split(n).pairs == identity_oracle(n)

@@ -19,7 +19,6 @@ from splitrel.relations import (
 )
 from splitrel.semantics import (
     equal,
-    eval_strict,
     eval_term,
     resolve_category,
 )
@@ -105,7 +104,7 @@ def test_eval_h_strict_pairs_frozen():
         (tgt(0), src(1)),
         (tgt(0), tgt(1)),
     }
-    assert eval_strict(H()).pairs == frozenset(expected)
+    assert strict_part(eval_term(H())).pairs == frozenset(expected)
 
 
 def test_eval_h_is_closure_of_raw_picture():
@@ -317,16 +316,6 @@ def test_equal_type_error_messages_are_pinned():
         equal(Comp(H(), Id(3)), H(), Category.PF)
 
 
-def test_eval_strict_basics():
-    assert eval_strict(Id(1)).pairs == frozenset(
-        {(src(0), tgt(0)), (tgt(0), src(0))}
-    )
-    assert eval_strict(Unit()).pairs == frozenset()
-    assert len(eval_strict(H()).pairs) == 8
-    with pytest.raises(TermTypeError):
-        eval_strict(NablaK(1))
-
-
 # ------------------------------------------------------------------ laws on random terms
 
 
@@ -493,7 +482,8 @@ def test_eval_term_agrees_with_oracle_on_random_terms():
         for _ in range(500):
             t = random_term(rng, category)
             assert eval_term(t, category) == _eval_split(t), t
-            assert eval_strict(t, category) == strict_part(_eval_split(t)), t
+            strict = strict_part(eval_term(t, category))
+            assert strict == strict_part(_eval_split(t)), t
 
 
 def test_eval_term_agrees_with_oracle_on_catalog_instances():

@@ -33,7 +33,6 @@ from splitrel.terms import (
     delta_ef,
     delta_pf,
     delta_unfold,
-    derived,
     down_pf,
     eta_term,
     etabar_term,
@@ -499,27 +498,6 @@ def test_natural_term():
     assert category_of(natural_term(2, Category.EF)) is Category.EF
     with pytest.raises(ValueError):
         natural_term(2, Category.RB)
-
-
-# ------------------------------------------------------------------ derived registry
-
-
-def test_derived_examples():
-    assert derived("nabla-PF") == nabla_pf()
-    assert derived("natural", 0) == Id(0)
-    assert derived("zero", 0, 0) == Id(0)
-    assert derived("eta", 0, 1, 2) == H()
-    assert derived("iota", 0, 0, 1, 1) == iota_term(0, 0, 1, 1)
-    assert derived("zero", 0, 2, category=Category.RB) == UnitK(2)
-
-
-def test_derived_rejects_bad_usage():
-    with pytest.raises(ValueError):
-        derived("no-such-arrow")
-    with pytest.raises(ValueError):
-        derived("nabla-PF", 1)
-    with pytest.raises(ValueError):
-        derived("eta", 0, 1, 2, category=Category.PF)
 
 
 # ------------------------------------------------------------------ walks of the builders

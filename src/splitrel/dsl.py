@@ -404,35 +404,27 @@ def print_term(t: ArrowTerm) -> str:
 
     Structural round-trip `parse(print_term(t)) == t` holds for terms in
     the canonical shape produced by the builders (`Pad` only above
-    non-identity generator leaves, no sugar nodes).
+    non-identity generator leaves, no sugar nodes).  The before spine is
+    walked by a loop.
     """
-    match t:
-        case Id(n):
-            return f"id({n})"
-        case Unit():
-            return "unit"
-        case Counit():
-            return "counit"
-        case Swap():
-            return "swap"
-        case H():
-            return "h"
-        case HBar():
-            return "hbar"
-        case NablaK(k):
-            return f"nabla({k})"
-        case DeltaK(k):
-            return f"delta({k})"
-        case UnitK(k):
-            return f"unitk({k})"
-        case CounitK(k):
-            return f"counitk({k})"
-        case Pad(left, body, right):
-            return f"pad({left}, {print_term(body)}, {right})"
-        case Comp(after, before):
-            head = print_term(after)
-            if isinstance(after, Comp):
-                head = f"({head})"
-            return f"{head} . {print_term(before)}"
-        case _:
-            raise TypeError(f"not an arrow term: {t!r}")
+    texts = []
+    while isinstance(t, Comp):
+        after = print_term(t.after)
+        texts.append(f"({after})" if isinstance(t.after, Comp) else after)
+        t = t.before
+    return " . ".join([*texts, _print_factor(t)])
+
+
+# the word of each generator; one with a size prints it in parentheses
+_WORDS = {
+    Id: "id", Unit: "unit", Counit: "counit", Swap: "swap", H: "h", HBar: "hbar",
+    NablaK: "nabla", DeltaK: "delta", UnitK: "unitk", CounitK: "counitk",
+}
+
+
+def _print_factor(t: ArrowTerm) -> str:
+    if isinstance(t, Pad):
+        return f"pad({t.left}, {print_term(t.body)}, {t.right})"
+    if type(t) not in _WORDS:
+        raise TypeError(f"not an arrow term: {t!r}")
+    return _WORDS[type(t)] + "".join(f"({getattr(t, f)})" for f in t.__match_args__)

@@ -10,11 +10,14 @@ deletes the shared middle layer.
 A value holds one bit row per point: a `SplitRelation` numbers its
 points flat, the n sources and then the m targets (the indexing `EtaNF`
 uses), and a `BinRel` has one row of target bits per source.  `==` and
-`hash` compare the rows, and every operation here works on them.  The
-constructors take pairs; `.pairs` is a read-only view, built on first
-read unless the value was built from pairs.  Set bits read in row order
-(`flat_pairs`) come in sorted pair order, because sources come before
-targets, so the JSON form is written straight from the rows.
+`hash` compare the rows.  The constructors take pairs; `.pairs` is a
+read-only view, built on first read unless the value was built from
+pairs.  Set bits read in row order (`flat_pairs`) come in sorted pair
+order, because sources come before targets, so the JSON form is written
+straight from the rows.  Composition and closure run in one kernel on
+values packed as `(n, m, stride, M)`, the rows in one int M, row r at
+bits [r·stride, r·stride + stride); the public operations pack and
+unpack around it.
 
 Everything here is immutable and pure.  `SplitPreorder` and
 `SplitEquivalence` are aliases of `SplitRelation`; use `is_preorder` /
@@ -23,9 +26,11 @@ Everything here is immutable and pure.  `SplitPreorder` and
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Final, Iterable, Literal, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Final, Iterable, Literal, NamedTuple
 
 Tag = Literal["s", "t"]
 
@@ -147,11 +152,8 @@ class SplitRelation(_RowValue):
     @classmethod
     def from_json(cls, text: str) -> "SplitRelation":
         obj = json.loads(text)
-        return cls(
-            obj["n"],
-            obj["m"],
-            (((x[0], x[1]), (y[0], y[1])) for (x, y) in obj["pairs"]),
-        )
+        pairs = [(_json_pair(x, str), _json_pair(y, str)) for x, y in obj["pairs"]]
+        return cls(obj["n"], obj["m"], pairs)
 
 
 # Refinements of SplitRelation; invariants checked by is_preorder /
@@ -191,65 +193,143 @@ class BinRel(_RowValue):
     @classmethod
     def from_json(cls, text: str) -> "BinRel":
         obj = json.loads(text)
-        return cls(obj["n"], obj["m"], map(tuple, obj["pairs"]))
+        return cls(obj["n"], obj["m"], [_json_pair(p, int) for p in obj["pairs"]])
+
+
+def _json_pair(item, head: type) -> tuple:
+    # exactly [head, int]: no third entry, and no bool or float as an int
+    if type(item) is not list or list(map(type, item)) != [head, int]:
+        raise ValueError(f"expected [{head.__name__}, int], got {json.dumps(item)}")
+    return tuple(item)
 
 
 # --------------------------------------------------------------------
-# row machinery
+# the packed kernel
+
+_TYPECODES = {array(code).itemsize * 8: code for code in "QLIHB"}  # by row width
+Packed = tuple[int, int, int, int]  # (n, m, stride, packed rows)
 
 
-def _closed(rows: Sequence[int], vias: Iterable[int]) -> Sequence[int]:
+def stride_for(width: int) -> int:
+    """The least power of two of at least 8 that holds `width` bits."""
+    return max(8, 1 << (width - 1).bit_length())
+
+
+def pack_rows(rows: Iterable[int], stride: int) -> int:
+    """One int holding `rows` at `stride`; each row must fit the stride."""
+    data = b"".join(row.to_bytes(stride // 8, "little") for row in rows)
+    return int.from_bytes(data, "little")
+
+
+def unpack_rows(count: int, stride: int, packed: int) -> list[int]:
+    """The first `count` rows of `packed` at `stride`."""
+    size = stride // 8
+    data = packed.to_bytes(count * size, "little")
+    if stride not in _TYPECODES:
+        chunks = range(0, len(data), size)
+        return [int.from_bytes(data[i : i + size], "little") for i in chunks]
+    rows = array(_TYPECODES[stride], data)
+    if sys.byteorder == "big":
+        rows.byteswap()
+    return rows.tolist()
+
+
+def _restride(count: int, stride: int, packed: int, width: int) -> tuple[int, int]:
+    # the stride that holds `width` bits, and the rows at it; each must fit
+    new = stride_for(width)
+    size, keep = stride // 8, min(stride, new) // 8
+    data = packed.to_bytes(count * size, "little")
+    rows = (data[i : i + keep] for i in range(0, len(data), size))
+    return new, int.from_bytes(bytes(new // 8 - keep).join(rows), "little")
+
+
+@lru_cache(maxsize=64)
+def _ones(count: int, stride: int) -> int:
+    # bit 0 of each of `count` rows; `(ones << w) - ones` is their low w bits
+    return int.from_bytes(b"\1".ljust(stride // 8, b"\0") * count, "little")
+
+
+def diagonal(count: int, stride: int) -> int:
+    """Bit r of row r for `count` rows, at a stride of at least `count`."""
+    diag, done = 1, 1
+    while done < count:
+        diag |= diag << done * (stride + 1)
+        done *= 2
+    return diag & (1 << count * stride) - 1
+
+
+def _close(packed: int, stride: int, count: int, vias: Iterable[int]) -> int:
     # Warshall sweep through the points in `vias`; adds exactly the pairs
-    # reachable by chains whose inner points all lie in `vias`.
+    # reachable by chains whose inner points all lie in `vias`.  A step
+    # copies row v onto every row holding bit v, marked by the selection.
+    ones, full = _ones(count, stride), (1 << stride) - 1
     for via in vias:
-        vrow = rows[via]
-        bit = 1 << via
-        rows = [row | vrow if row & bit else row for row in rows]
-    return rows
+        packed |= (packed >> via & ones) * (packed >> via * stride & full)
+    return packed
 
 
 def compose_rows(
-    n: int,
-    mid: int,
-    k: int,
-    p_rows: Sequence[int],
-    q_rows: Sequence[int],
-    vias: Iterable[int] | None = None,
-    left: int = 0,
-    right: int = 0,
-) -> list[int]:
-    """Rows of p : n->mid composed with q : mid->k, over n + k points.
+    p: Packed, left: int, body: Packed, right: int, vias: Iterable[int] | None = None
+) -> Packed:
+    """p : n->mid composed with the body a->b padded by `left` and `right`
+    identity strands, as packed values.
 
-    q is the padding of a body a->b by `left` and `right` identity
-    strands (none by default), and `q_rows` are the body's rows:
-    a = mid - left - right, b = k - left - right.  The body's source
-    copy is glued onto p's target copy at n+left..n+left+a-1 and its
-    targets follow p's points; the result is closed through `vias`
-    (every point by default), and the body's sources are cut out.  An
-    identity strand only renames a point, so p's middle point stands for
-    the strand's target and the padded rows are never built; this needs
-    p reflexive on the strands, which holds for every preorder.
-
-    When both factors are transitive a chain through the glued relation
-    changes factor only at a glued point.  A strand's middle point lies
-    in p alone, so transitivity of p removes it from any chain, and
-    closing through the body's sources alone,
-    ``range(n + left, n + mid - right)``, is enough.
+    The body's sources are glued onto p's targets n+left..n+left+a-1 and
+    its targets follow p's points; the result is closed through `vias`
+    (every point by default), and the body's sources are cut out.  A
+    strand only renames a point: p's middle point stands for its target,
+    which needs p reflexive on the strands, as every preorder is.  When
+    both factors are transitive, closing through the body's sources,
+    ``range(n + left, n + left + a)``, is enough: a chain changes factor
+    only at a glued point, and p's transitivity removes a strand's middle
+    point from it.  The result keeps p's stride while the n + mid + b
+    glued points fit, and otherwise takes the next power of two.
     """
-    a, b = mid - left - right, k - left - right
-    # the body's sources sit at body..tail-1, its targets from cut on
-    body, tail, cut = n + left, n + left + a, n + mid
-    low = (1 << a) - 1
-    rows = list(p_rows) + [0] * b
-    for j, row in enumerate(q_rows):
-        glued = (row & low) << body | row >> a << cut
-        rows[body + j if j < a else cut + j - a] |= glued
-    rows = _closed(rows, range(cut + b) if vias is None else vias)
-    head, strands = (1 << body) - 1, (1 << right) - 1
-    return [
-        row & head | row >> cut << body | (row >> tail & strands) << (body + b)
-        for row in rows[:body] + rows[cut:] + rows[tail:cut]
-    ]
+    n, mid, stride, rows = p
+    a, b, body_stride, body_rows = body
+    # the body's sources sit at at..tail-1, its targets from cut on
+    at, tail, cut = n + left, n + left + a, n + mid
+    if cut + b > stride:
+        stride, rows = _restride(cut, stride, rows, cut + b)
+    if body_stride != stride:
+        _, body_rows = _restride(a + b, body_stride, body_rows, stride)
+    # the body's columns, then its source rows and its target rows, glued
+    ones = _ones(a + b, stride)
+    glued = (body_rows & (ones << a) - ones) << at
+    glued |= (body_rows >> a & (ones << b) - ones) << cut
+    sources, targets = glued & (1 << a * stride) - 1, glued >> a * stride
+    rows |= sources << at * stride | targets << cut * stride
+    rows = _close(rows, stride, cut + b, range(cut + b) if vias is None else vias)
+    # keep p's points up to the body's, then the body's targets, then the
+    # right strands: first as rows, then as columns
+    rows = rows & (1 << at * stride) - 1 | (
+        rows >> cut * stride
+        | (rows >> tail * stride & (1 << right * stride) - 1) << b * stride
+    ) << at * stride
+    ones = _ones(cut + b, stride)
+    rows = rows & (ones << at) - ones | (
+        rows >> cut & (ones << b) - ones | (rows >> tail & (ones << right) - ones) << b
+    ) << at
+    return n, left + b + right, stride, rows
+
+
+def compose_rel_rows(r: Packed, left: int, body: Packed, right: int) -> Packed:
+    """r : n->mid composed with the body a->b padded by `left` and `right`
+    identity strands, as packed plain relations.  The strands' bits shift
+    into place, and the sources of r holding bit `left + j` gain body row
+    j by one masked multiply.  The result keeps r's stride while k fits."""
+    n, mid, stride, rows = r
+    a, b, body_stride, body_rows = body
+    k, tail = left + b + right, left + a
+    if k > stride:
+        stride, rows = _restride(n, stride, rows, k)
+    ones = _ones(n, stride)
+    out = rows & (ones << left) - ones
+    out |= (rows >> tail & (ones << right) - ones) << left + b
+    for j, row in enumerate(unpack_rows(a, body_stride, body_rows), left):
+        if row:
+            out |= (rows >> j & ones) * (row << left)
+    return n, k, stride, out
 
 
 # --------------------------------------------------------------------
@@ -265,17 +345,27 @@ def domain_of(r: SplitRelation) -> frozenset[Node]:
     return frozenset(x for i, x in enumerate(r.nodes()) if used >> i & 1)
 
 
+def _packed(r: _RowValue, width: int) -> Packed:
+    stride = stride_for(width)  # one that holds `width` bits
+    return r.n, r.m, stride, pack_rows(r.rows, stride)
+
+
+def _closure(n: int, m: int, rows: Iterable[int]) -> SplitRelation:
+    stride = stride_for(n + m)
+    packed = _close(pack_rows(rows, stride), stride, n + m, range(n + m))
+    return SplitRelation._of_rows(n, m, unpack_rows(n + m, stride, packed))
+
+
 def transitive_closure(p: SplitRelation) -> SplitPreorder:
     """Least transitive superset of `p`; its domain equals `p`'s domain."""
-    return SplitRelation._of_rows(p.n, p.m, _closed(p.rows, range(p.n + p.m)))
+    return _closure(p.n, p.m, p.rows)
 
 
 def bar_union(p: SplitRelation, q: SplitRelation) -> SplitPreorder:
     """Transitive closure of the union (the composition workhorse)."""
     if (p.n, p.m) != (q.n, q.m):
         raise ValueError(f"cannot unite {p.n}->{p.m} with {q.n}->{q.m}")
-    rows = [a | b for a, b in zip(p.rows, q.rows)]
-    return SplitRelation._of_rows(p.n, p.m, _closed(rows, range(p.n + p.m)))
+    return _closure(p.n, p.m, [a | b for a, b in zip(p.rows, q.rows)])
 
 
 def restrict_away(r: SplitRelation, x: Iterable[Node]) -> SplitRelation:
@@ -302,15 +392,15 @@ def compose_split(p: SplitPreorder, q: SplitPreorder) -> SplitPreorder:
 
     Any split relations are accepted, transitive or not, so the glued
     relation is closed through every point (`compose_rows`).  Term
-    evaluation does not come through here: it composes the rows of its
-    own memo and builds a value only for the final result.
+    evaluation composes the packed values of its own memo instead.
     """
     if p.m != q.n:
         raise ValueError(
             f"cannot compose {p.n}->{p.m} with {q.n}->{q.m}: middle sizes differ"
         )
-    rows = compose_rows(p.n, p.m, q.m, p.rows, q.rows)
-    return SplitRelation._of_rows(p.n, q.m, rows)
+    before, after = _packed(p, p.n + p.m + q.m), _packed(q, q.n + q.m)
+    n, k, stride, rows = compose_rows(before, 0, after, 0)
+    return SplitRelation._of_rows(n, k, unpack_rows(n + k, stride, rows))
 
 
 def identity_split(n: int) -> SplitEquivalence:
@@ -353,10 +443,9 @@ def compose_rel(r: BinRel, s: BinRel) -> BinRel:
         raise ValueError(
             f"cannot compose {r.n}->{r.m} with {s.n}->{s.m}: middle sizes differ"
         )
-    rows = [0] * r.n
-    for i, j in flat_pairs(r.rows):
-        rows[i] |= s.rows[j]
-    return BinRel._of_rows(r.n, s.m, rows)
+    before, after = _packed(r, max(r.m, s.m)), _packed(s, s.m)
+    n, k, stride, rows = compose_rel_rows(before, 0, after, 0)
+    return BinRel._of_rows(n, k, unpack_rows(n, stride, rows))
 
 
 def strict_part(p: SplitPreorder) -> SplitRelation:

@@ -10,19 +10,19 @@ Equality of two same-type terms is decided by comparing values; for
 these three models that coincides with derivability from the
 presentations.
 
-Inside the evaluator a value is a triple `(n, m, rows)` of bit rows.
-On the split side there is one row per point of the flat n + m points
-(sources, then targets: the indexing `EtaNF` uses), holding that
-point's successors.  On the RB side there is one row per source,
-holding its targets.  A composition whose after factor is a padding
-`Pad(left, body, right)` composes with `body`'s value under the padding,
-and the padded rows are never built; any other after factor is its own
-body, with no padding, and a padding on its own is the after factor of
-an identity.  A padding strand is an identity, which only renames a
-point, and every intermediate split value is a preorder, so a split
-composition closes only through the body's source points
-(`compose_rows`).  On the RB side the strands' bits shift into place and
-only the body's source bits are looked up.
+Inside the evaluator a value is `(n, m, S, M)`: its bit rows in one int
+M, row r at bits [r·S, r·S + S), with a power-of-two stride S ≥ 8 of its
+own.  A split value has a row per point of the flat n + m points
+(sources, then targets: the indexing `EtaNF` uses), an RB value a row of
+target bits per source.  A composition keeps the before factor's stride
+while the glued points fit and otherwise re-strides it once, so strides
+only grow along a spine; a body is read at its own stride.  When the
+after factor is `Pad(left, body, right)`, the composition takes `body`'s
+value under the padding and never builds the padded rows; any other after
+factor is its own body, and a padding on its own is the after factor of
+an identity.  A strand only renames a point, and every intermediate split
+value is a preorder, so a split composition closes only through the
+body's source points.  `_rows` unpacks only the result, as `(n, m, rows)`.
 Each signature reads only its own generators: PF has no `HBar`, EF no
 `H`, and RB only the relational leaves, so a generator of another
 signature raises inside the walk.  `equal` with a category therefore
@@ -44,7 +44,9 @@ passes the memo of its comparison on to the separation.
 """
 from __future__ import annotations
 
-from splitrel.relations import BinRel, SplitRelation, compose_rows
+from splitrel.relations import BinRel, Packed, SplitRelation
+from splitrel.relations import compose_rel_rows, compose_rows, diagonal
+from splitrel.relations import pack_rows, stride_for, unpack_rows
 from splitrel.terms import (
     ArrowTerm,
     Category,
@@ -68,9 +70,7 @@ from splitrel.terms import (
 
 SemValue = SplitRelation | BinRel
 
-# (n, m, rows).  The rows are a list, not a tuple: CPython keeps freed
-# short tuples for reuse, up to thousands per length, so the rows of
-# every memo freed at the end of a call would stay resident.
+# (n, m, rows), as `_rows` unpacks them
 Rows = tuple[int, int, list[int]]
 
 
@@ -106,7 +106,7 @@ def resolve_category(
     return resolved
 
 
-def _check_middle(before: Rows, left: int, body: Rows, right: int) -> None:
+def _check_middle(before: Packed, left: int, body: Packed, right: int) -> None:
     # the error `type_of` raises for composing with Pad(left, body, right)
     if before[1] != left + body[0] + right:
         before_t = TermType(*before[:2])
@@ -131,65 +131,52 @@ _EF_LEAVES = {**_SHARED_LEAVES, HBar(): (2, 2, (0b1111, 0b1111, 0b1111, 0b1111))
 
 
 def _split_leaf_of(leaves: dict, category: Category):
-    def leaf(t: ArrowTerm) -> Rows:
-        if isinstance(t, Id):
-            return t.n, t.n, [1 << i | 1 << (t.n + i) for i in range(t.n)] * 2
-        if t not in leaves:
+    packed = {t: (n, m, 8, pack_rows(rows, 8)) for t, (n, m, rows) in leaves.items()}
+
+    def leaf(t: ArrowTerm) -> Packed:
+        if isinstance(t, Id):  # rows i and n + i hold bits i and n + i
+            stride = stride_for(2 * t.n)
+            half = diagonal(t.n, stride)
+            half |= half << t.n
+            return t.n, t.n, stride, half | half << t.n * stride
+        if t not in packed:
             raise TermTypeError(f"not a generator of {category.value}: {t!r}")
-        n, m, rows = leaves[t]
-        return n, m, list(rows)
+        return packed[t]
 
     return leaf
 
 
-def _split_then_padded(before: Rows, left: int, body: Rows, right: int) -> Rows:
-    n, mid, p_rows = before
-    a, b, q_rows = body
-    k = left + b + right
-    vias = range(n + left, n + left + a)
-    return n, k, compose_rows(n, mid, k, p_rows, q_rows, vias, left, right)
+def _split_then_padded(before: Packed, left: int, body: Packed, right: int) -> Packed:
+    start = before[0] + left  # the body's sources, glued
+    return compose_rows(before, left, body, right, range(start, start + body[0]))
 
 
 # Relational values: one row of target bits per source.
 
 
-def _rel_leaf(t: ArrowTerm) -> Rows:
+def _rel_leaf(t: ArrowTerm) -> Packed:
     match t:
         case Id(n):
-            return n, n, [1 << i for i in range(n)]
-        case NablaK(k):
-            return 2 * k, k, [1 << i for i in range(k)] * 2
-        case DeltaK(k):
-            return k, 2 * k, [1 << i | 1 << (k + i) for i in range(k)]
+            return n, n, stride_for(n), diagonal(n, stride_for(n))
+        case NablaK(k):  # the diagonal twice, one below the other
+            half = diagonal(k, stride_for(k))
+            return 2 * k, k, stride_for(k), half | half << k * stride_for(k)
+        case DeltaK(k):  # the diagonal twice, side by side
+            half = diagonal(k, stride_for(2 * k))
+            return k, 2 * k, stride_for(2 * k), half | half << k
         case UnitK(k):
-            return 0, k, []
+            return 0, k, stride_for(k), 0
         case CounitK(k):
-            return k, 0, [0] * k
+            return k, 0, 8, 0
         case _:
             raise TermTypeError(f"not a relational generator: {t!r}")
-
-
-def _rel_then_padded(before: Rows, left: int, body: Rows, right: int) -> Rows:
-    # strand bits shift into place; only the body's source bits are looked up
-    n, _, r_rows = before
-    a, b, s_rows = body
-    head, tail = (1 << left) - 1, left + a
-    shifted = [s_row << left for s_row in s_rows]
-    composed = []
-    for row in r_rows:
-        out = row & head | row >> tail << (left + b)
-        for j, s_row in enumerate(shifted, left):
-            if row >> j & 1:
-                out |= s_row
-        composed.append(out)
-    return n, left + b + right, composed
 
 
 # (leaf, composition with a padding) of each reading
 _MODELS = {
     Category.PF: (_split_leaf_of(_PF_LEAVES, Category.PF), _split_then_padded),
     Category.EF: (_split_leaf_of(_EF_LEAVES, Category.EF), _split_then_padded),
-    Category.RB: (_rel_leaf, _rel_then_padded),
+    Category.RB: (_rel_leaf, compose_rel_rows),
 }
 
 
@@ -198,12 +185,13 @@ def _rows(t: ArrowTerm, category: Category, memo: dict) -> Rows:
 
     The walk also types the term: an ill-typed composition raises the
     error `type_of` would raise, and the value's sizes are the term's
-    type.
+    type.  The memo holds packed values; only the result is unpacked.
     """
-    return _walk(t, _MODELS[category], memo)[1]
+    n, m, stride, packed = _walk(t, _MODELS[category], memo)[1]
+    return n, m, unpack_rows(n if category is Category.RB else n + m, stride, packed)
 
 
-def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
+def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Packed]:
     # A key is a leaf itself, or `(left, body slot, right, before slot)`
     # for a composition whose after factor is `Pad(left, body, right)`;
     # any other after factor is the body, with left = right = 0, and a
@@ -246,7 +234,7 @@ def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
     return entry
 
 
-def _leaf(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Rows]:
+def _leaf(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Packed]:
     entry = memo.get(t)
     if entry is None:
         entry = memo[t] = (len(memo), model[0](t))

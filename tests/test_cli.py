@@ -13,6 +13,7 @@ from splitrel import cli, dsl, terms
 from splitrel.cli import (
     EXIT_DIFFER,
     EXIT_INTERNAL,
+    EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_TYPE,
     main,
@@ -154,6 +155,25 @@ def test_texts_and_payloads_wider_than_the_limit_are_refused(argv, what, capsys)
     assert captured.out == ""
     assert captured.err.startswith(f"precondition failed: {what} is wider than ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload, item",
+    [
+        # a node with a third entry
+        ('{"n":1,"m":0,"pairs":[[["s",0,7],["s",0,"x"]]]}', '["s", 0, 7]'),
+        # an RB pair of floats
+        ('{"n":1,"m":1,"pairs":[[0.9,0.2]]}', "[0.9, 0.2]"),
+        # a bool as a position
+        ('{"n":2,"m":0,"pairs":[[["s",true],["s",0]]]}', '["s", true]'),
+    ],
+)
+def test_malformed_payload_entries_are_refused(payload, item, capsys):
+    assert main(["render", "--format", "json", payload]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "[int, int]" if item.startswith("[0") else "[str, int]"
+    assert captured.err == f"parse error: bad value payload: expected {expected}, got {item}\n"
 
 
 def test_the_widest_texts_evaluate(capsys):

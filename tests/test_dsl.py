@@ -1,12 +1,13 @@
 """Parser and printer tests: grammar, categories, desugaring, round-trips."""
 import random
+import sys
 
 import pytest
 
 from splitrel import dsl, terms
 from splitrel.dsl import ParseError, parse, parse_with_category, print_term
 from splitrel.fuzz import random_term
-from splitrel.semantics import resolve_category
+from splitrel.semantics import equal, resolve_category
 from splitrel.terms import (
     Category,
     Comp,
@@ -432,6 +433,18 @@ def test_print_composition():
 def test_print_pad():
     assert print_term(Pad(1, H(), 0)) == "pad(1, h, 0)"
     assert print_term(Pad(0, Comp(H(), Swap()), 2)) == "pad(0, h . swap, 2)"
+
+
+def test_print_walks_a_long_before_chain_without_recursing():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    factors = [Swap() if k % 2 else H() for k in range(depth)]
+    t = H()
+    for factor in factors:  # each factor nests the chain so far as its before
+        t = Comp(factor, t)
+    text = print_term(t)
+    assert text == " . ".join(print_term(f) for f in [*reversed(factors), H()])
+    assert equal(parse(text, Category.PF), t, Category.PF)
 
 
 def test_print_parse_round_trip_examples():

@@ -29,12 +29,15 @@ from splitrel.relations import (
     embed_function,
     embed_relation,
     identity_split,
+    pack_rows,
     restrict_away,
     semi_embed_M,
     src,
+    stride_for,
     strict_part,
     tgt,
     transitive_closure,
+    unpack_rows,
 )
 
 # --------------------------------------------------------------------
@@ -322,6 +325,15 @@ def test_of_rows_inverts_flat_rows():
         assert SplitRelation._of_rows(r.n, r.m, _flat_rows(r)) == r
 
 
+def _compose_flat(n, mid, k, p_rows, q_rows, vias=None):
+    # the packed kernel on row lists, through pack and unpack
+    stride, body_stride = stride_for(n + mid + k), stride_for(mid + k)
+    before = (n, mid, stride, pack_rows(p_rows, stride))
+    body = (mid, k, body_stride, pack_rows(q_rows, body_stride))
+    n, k, stride, rows = compose_rows(before, 0, body, 0, vias)
+    return unpack_rows(n + k, stride, rows)
+
+
 def test_compose_rows_middle_band_suffices_for_transitive_factors():
     # transitive factors, reflexive or not: closing through the middle
     # band alone gives the full composition
@@ -335,11 +347,11 @@ def test_compose_rows_middle_band_suffices_for_transitive_factors():
             q = SplitRelation(b, c, closure_oracle(q.pairs))
         else:
             p, q = random_preorder(rng, a, b), random_preorder(rng, b, c)
-        rows = compose_rows(
+        rows = _compose_flat(
             a, b, c, _flat_rows(p), _flat_rows(q), range(a, a + b)
         )
         assert SplitRelation._of_rows(a, c, rows) == compose_oracle(p, q)
-        assert rows == compose_rows(a, b, c, _flat_rows(p), _flat_rows(q))
+        assert rows == _compose_flat(a, b, c, _flat_rows(p), _flat_rows(q))
 
 
 def test_compose_size_mismatch_raises():

@@ -3,36 +3,41 @@
 Every entry pairs a slug with a builder producing the two sides of the
 equation from integer parameters.
 
-The concrete axioms, whose only parameters are the trailing
-``lpad``/``rpad``, are equations in the term language of `dsl`, one
-``name: lhs = rhs`` line each.  An instance is the equation widened by
-``lpad`` and ``rpad`` untouched strands, so padded occurrences can be
-matched and rewritten in place.  The lines come in blocks, in catalog
-order: the symmetry core and the Frobenius block, shared by PF and EF;
-the `h` laws, the `down` laws and `h-tr` of PF; the `hbar` laws of EF.
-A word bound to a derived arrow of `terms` reads as that arrow in
-brackets: in PF `merge`, `split`, `down`, `up`, `upalt`, `mergedown` and
-`splitdown` are `nabla_pf`, `delta_pf`, `down_pf`, `up_pf`, `up_pf_alt`,
-`nabla_down_pf` and `delta_down_pf`; in EF `merge` and `split` are
-`nabla_ef` and `delta_ef`.  `dsl.parse` reads an axiom's two sides, in
-its block's signature, the first time the axiom is instantiated, and
-they are kept; importing the module, listing the catalogs and
-enumerating instances parse nothing.
+Most axioms are equations in the term language of `dsl`, one line each,
+in one of two forms.  A ``name: lhs = rhs`` line takes only the trailing
+``lpad``/``rpad``: an instance is the equation widened by that many
+untouched strands, so padded occurrences can be matched and rewritten
+in place, and the two sides are parsed once, on first instantiation.
+A ``name(n, m): lhs = rhs`` line takes exactly the parameters it lists
+and is not padded: at each instantiation every parameter, as a whole
+word, is replaced by its value, every sum of numerals such as
+``n+2+m`` by its total, and both sides are parsed (``name():`` lists
+none).  The lines come in blocks, in catalog order: the symmetry core
+and the Frobenius block, shared by PF and EF; the `h` laws, the `down`
+laws and the `h` definitions with `tau-def` of PF; the `hbar` laws and
+definitions, and `tau-def`, of EF; RB's unit and zero laws, and its
+union definitions.  A word bound to a derived arrow of `terms` reads as
+that arrow in brackets, printed once per line on first use: in PF
+`merge`, `split`, `down`, `up`, `upalt`, `mergedown` and `splitdown` are
+`nabla_pf`, `delta_pf`, `down_pf`, `up_pf`, `up_pf_alt`, `nabla_down_pf`
+and `delta_down_pf`; in EF `merge` and `split` are `nabla_ef` and
+`delta_ef`.  Importing the module, listing the catalogs and enumerating
+instances parse and print nothing.
 
-The parametric and schema axioms stay code: the pool, bridge and mask
-families, which range over sample arrows, strands or selections on their
-own; `h-via-nabla`, `h-def`, `hbar-def`, `hbar-eta` and `etabar-sym`,
-whose strand positions are parameters; and the whole RB catalog.
+An axiom stays code when it has its own `ranges` or a `guard`, draws
+from a pool or a mask, or needs what the term language cannot write:
+`drop`, `natural_term`, `tau_acute` or `iota_nf`.  The mask families
+over `_rel`'s sample relations wait for a template design: parsing
+their long printed sides per instance would touch 2,480 instances.
 
 Arrows that many instances share are built once per process: the
 sample relations `_rel` of the union and plus families (24 of them), and
-each signature's bridge arrows `e(i, j, width)` in `_bridge_family`,
-kept in a cache of `_BRIDGE_ARROWS` entries, since `tau-def` asks for
-ever wider ones as the parameter bound grows.  Sharing is safe because
-terms are frozen and every builder, `pad`, `apply_axiom` included,
-makes new nodes around a shared one instead of changing it.  Whole
-instances are not kept: `check-axioms` builds each of them once, so
-such a cache would only hold memory.
+each signature's bridge arrows `e(i, j, width)` in `_bridge_family`, in
+a plain cache, since its families use the same 76 at every parameter
+bound.  Sharing is safe because terms are frozen and every builder,
+`pad`, `apply_axiom` included, makes new nodes around a shared one
+instead of changing it.  Whole instances are not kept: `check-axioms`
+builds each of them once, so such a cache would only hold memory.
 """
 
 from __future__ import annotations
@@ -74,7 +79,6 @@ from .terms import (
     down_pf,
     eta_term,
     etabar_term,
-    h_via_nabla,
     iota_term,
     nabla_down_pf,
     nabla_ef,
@@ -82,11 +86,9 @@ from .terms import (
     nabla_unfold,
     natural_term,
     pad,
-    plus,
     tau_acute,
     tau_grave,
     tau_rb,
-    tau_rb_alt,
     type_of,
     union_term,
     up_pf,
@@ -331,12 +333,6 @@ def _pool_family(
     ]
 
 
-# Bridge arrows each signature's `_bridge_family` keeps: its families use
-# 90 distinct `(i, j, width)` at parameter bound 3.  Only `tau-def` asks
-# for wider ones as the bound grows, each once, so they cycle through.
-_BRIDGE_ARROWS = 128
-
-
 def _bridge_family(
     category: Category,
     e: Callable[[int, int, int], ArrowTerm],
@@ -350,24 +346,10 @@ def _bridge_family(
     side generates that same glueing.
     """
     symmetric = category is Category.EF
-    e = functools.lru_cache(maxsize=_BRIDGE_ARROWS)(e)
+    e = functools.cache(e)
 
     def drop(v: int, p: int) -> int:
         return v - 1 if v > p else v
-
-    def tau_def(n: int, m: int) -> _Pair:
-        width = n + 3 + m
-        lhs = pad(n, Swap(), m)
-        rhs = compose_chain(
-            [
-                pad(n + 2, Unit(), m),
-                e(n, n + 2, width),
-                e(n + 2, n, width),
-                pad(n, Counit(), 2 + m),
-            ],
-            n + 2 + m,
-        )
-        return lhs, rhs
 
     def eta_unit(i: int, j: int, p: int, q: int) -> _Pair:
         width = p + 1 + q
@@ -509,7 +491,6 @@ def _bridge_family(
         return ((n,) for n in range(1, max_param + 1))
 
     return [
-        Axiom("tau-def", category, ("n", "m"), tau_def),
         Axiom("eta-unit", category, ("i", "j", "p", "q"), eta_unit,
               guard=shift_guard, ranges=shift_ranges),
         Axiom("eta-counit", category, ("i", "j", "p", "q"), eta_counit,
@@ -589,8 +570,11 @@ down-one-zero: counit . down = counit
 nabla-circ: merge = merge . pad(1, down . merge . pad(0, down, 1), 0) . pad(0, split, 1)
 """
 
-_H_TR = """
+_H_DEF = """
+h-via-nabla(n, m): pad(n, h, m) = pad(n+1, merge, m) . pad(n+1, down, 1+m) . pad(n, split, 1+m)
+h-def(n, m): pad(n, h, m) = eta(n, n+1, n+2+m)
 h-tr: pad(0, h, 1) . pad(1, h, 0) = pad(0, h, 1) . pad(1, h, 0) . eta(0, 2, 3)
+tau-def(n, m): pad(n, swap, m) = pad(n, counit, 2+m) . eta(n+2, n, n+3+m) . eta(n, n+2, n+3+m) . pad(n+2, unit, m)
 """
 
 _HBAR_LAWS = """
@@ -603,6 +587,34 @@ hbar-bond-alt: pad(1, counit, 0) . hbar . pad(1, unit, 0) = id(1)
 hbar-hbar: pad(1, hbar, 0) . pad(0, hbar, 1) = pad(0, hbar, 1) . pad(1, hbar, 0)
 nabla-consistency: merge = pad(0, counit, 1) . split . merge
 delta-consistency: split = split . merge . pad(0, unit, 1)
+hbar-def(n, m): pad(n, hbar, m) = pad(n, split, m) . pad(n, merge, m)
+hbar-eta(n, m): pad(n, hbar, m) = etabar(n, n+1, n+2+m)
+"""
+
+_HBAR_TAU_DEF = """
+tau-def(n, m): pad(n, swap, m) = pad(n, counit, 2+m) . etabar(n+2, n, n+3+m) . etabar(n, n+2, n+3+m) . pad(n+2, unit, m)
+"""
+
+_RB_UNITS = """
+nabla-unit-1(k): nabla(k) . pad(k, unitk(k), 0) = id(k)
+nabla-unit-2(k): nabla(k) . pad(0, unitk(k), k) = id(k)
+nabla-unit-12(k, l): nabla(k+l) . plus(pad(k, unitk(l), 0), pad(0, unitk(k), l)) = id(k+l)
+delta-counit-1(k): pad(k, counitk(k), 0) . delta(k) = id(k)
+delta-counit-2(k): pad(0, counitk(k), k) . delta(k) = id(k)
+delta-counit-12(k, l): plus(pad(k, counitk(l), 0), pad(0, counitk(k), l)) . delta(k+l) = id(k+l)
+unit-zero(): unitk(0) = id(0)
+counit-zero(): counitk(0) = id(0)
+nabla-zero(): nabla(0) = id(0)
+delta-zero(): delta(0) = id(0)
+nabla-delta(k): nabla(k) . delta(k) = id(k)
+tau-dual(): swap = plus(pad(0, counit, 1), pad(1, counit, 0)) . delta(2)
+"""
+
+_RB_UNIONS = """
+nabla-union(k): nabla(k) = union(pad(k, counitk(k), 0), pad(0, counitk(k), k))
+delta-union(k): delta(k) = union(pad(k, unitk(k), 0), pad(0, unitk(k), k))
+nabla-def(n, k, m): pad(n, nabla(k), m) = union(pad(n+k, counitk(k), m), pad(n, counitk(k), k+m))
+delta-def(n, k, m): pad(n, delta(k), m) = union(pad(n+k, unitk(k), m), pad(n, unitk(k), k+m))
 """
 
 _PF_WORDS: dict[str, Callable[[], ArrowTerm]] = {
@@ -621,25 +633,58 @@ _EF_WORDS: dict[str, Callable[[], ArrowTerm]] = {"merge": nabla_ef, "split": del
 def _equations(
     category: Category, words: dict[str, Callable[[], ArrowTerm]], *tables: str
 ) -> list[Axiom]:
-    """A padded axiom for each line of `tables`, its sides parsed in
-    `category` when it is first instantiated."""
+    """An axiom for each line of `tables`, in either form the module
+    describes, its sides parsed in `category`."""
 
-    def read(side: str) -> ArrowTerm:
+    def spelled(equation: str) -> Callable[[], list[str]]:
+        # the two sides with each bound word printed, on first use
         def arrow(word: re.Match) -> str:
             bound = words.get(word[0])
             return word[0] if bound is None else f"({print_term(bound())})"
 
-        return parse(re.sub("[a-z]+", arrow, side), category)
+        return functools.cache(lambda: re.sub("[a-z]+", arrow, equation).split(" = "))
 
-    def sides(equation: str) -> Callable[[], _Pair]:
-        lhs, rhs = equation.split(" = ")
-        return functools.cache(lambda: (read(lhs), read(rhs)))
+    def fixed(equation: str) -> Callable[[], _Pair]:
+        sides = spelled(equation)
 
-    lines = [line for table in tables for line in table.strip().splitlines()]
-    return [
-        Axiom(name, category, ("lpad", "rpad"), sides(equation), padded=True)
-        for name, equation in (line.split(": ") for line in lines)
-    ]
+        @functools.cache
+        def build() -> _Pair:
+            lhs, rhs = sides()
+            return parse(lhs, category), parse(rhs, category)
+
+        return build
+
+    def schema(params: tuple[str, ...], equation: str) -> Callable[..., _Pair]:
+        sides = spelled(equation)
+
+        def build(*values: int) -> _Pair:
+            named = dict(zip(params, map(str, values)))
+
+            def read(side: str) -> ArrowTerm:
+                side = re.sub("[a-z]+", lambda word: named.get(word[0], word[0]), side)
+                return parse(re.sub(r"\d+(?:\+\d+)+", _total, side), category)
+
+            lhs, rhs = sides()
+            return read(lhs), read(rhs)
+
+        return build
+
+    axioms = []
+    for line in (line for table in tables for line in table.strip().splitlines()):
+        head, equation = line.split(": ")
+        name, listed, names = head.partition("(")
+        if listed:
+            params = tuple(re.findall("[a-z]+", names))
+            axioms.append(Axiom(name, category, params, schema(params, equation)))
+        else:
+            axioms.append(
+                Axiom(name, category, ("lpad", "rpad"), fixed(equation), padded=True)
+            )
+    return axioms
+
+
+def _total(numerals: re.Match) -> str:
+    return str(sum(map(int, numerals[0].split("+"))))
 
 
 # --------------------------------------------------------------------
@@ -667,18 +712,9 @@ _PF_GENS: tuple[ArrowTerm, ...] = (Unit(), Counit(), Swap(), H())
 def _pf_axioms() -> list[Axiom]:
     pf = Category.PF
     axioms = _pool_family(pf, _PF_POOL, _PF_GENS)
-    axioms += _equations(pf, _PF_WORDS, _SYMMETRY, _H_LAWS, _FROBENIUS, _DOWN_LAWS)
-    axioms += [
-        Axiom(
-            "h-via-nabla", pf, ("n", "m"),
-            lambda n, m: (pad(n, H(), m), h_via_nabla(n, m)),
-        ),
-        Axiom(
-            "h-def", pf, ("n", "m"),
-            lambda n, m: (pad(n, H(), m), eta_term(n, n + 1, n + 2 + m)),
-        ),
-    ]
-    axioms += _equations(pf, _PF_WORDS, _H_TR)
+    axioms += _equations(
+        pf, _PF_WORDS, _SYMMETRY, _H_LAWS, _FROBENIUS, _DOWN_LAWS, _H_DEF
+    )
     axioms += _bridge_family(pf, eta_term)
     return axioms
 
@@ -708,22 +744,6 @@ def _ef_axioms() -> list[Axiom]:
     ef = Category.EF
     axioms = _pool_family(ef, _EF_POOL, _EF_GENS)
     axioms += _equations(ef, _EF_WORDS, _SYMMETRY, _HBAR_LAWS)
-    axioms += [
-        Axiom(
-            "hbar-def", ef, ("n", "m"),
-            lambda n, m: (
-                pad(n, HBar(), m),
-                compose_chain(
-                    [pad(n, nabla_ef(), m), pad(n, delta_ef(), m)],
-                    n + 2 + m,
-                ),
-            ),
-        ),
-        Axiom(
-            "hbar-eta", ef, ("n", "m"),
-            lambda n, m: (pad(n, HBar(), m), etabar_term(n, n + 1, n + 2 + m)),
-        ),
-    ]
 
     def sym(i: int, j: int, width: int) -> _Pair:
         return etabar_term(i, j, width), etabar_term(j, i, width)
@@ -735,7 +755,7 @@ def _ef_axioms() -> list[Axiom]:
                     yield (i, j, width)
 
     axioms.append(Axiom("etabar-sym", ef, ("i", "j", "n"), sym, ranges=sym_ranges))
-    axioms += _equations(ef, _EF_WORDS, _FROBENIUS)
+    axioms += _equations(ef, _EF_WORDS, _FROBENIUS, _HBAR_TAU_DEF)
     axioms += _bridge_family(ef, etabar_term)
     return axioms
 
@@ -891,57 +911,7 @@ def _rb_axioms() -> list[Axiom]:
         Axiom("delta-nat", rb, ("f",), delta_nat, ranges=_pool_ranges(pool)),
         Axiom("unit-nat", rb, ("f",), unit_nat, ranges=_pool_ranges(pool)),
         Axiom("counit-nat", rb, ("f",), counit_nat, ranges=_pool_ranges(pool)),
-        Axiom(
-            "nabla-unit-1", rb, ("k",),
-            lambda k: (compose_chain([pad(k, UnitK(k), 0), NablaK(k)], k), Id(k)),
-        ),
-        Axiom(
-            "nabla-unit-2", rb, ("k",),
-            lambda k: (compose_chain([pad(0, UnitK(k), k), NablaK(k)], k), Id(k)),
-        ),
-        Axiom(
-            "nabla-unit-12", rb, ("k", "l"),
-            lambda k, l: (
-                compose_chain(
-                    [
-                        plus(pad(k, UnitK(l), 0), pad(0, UnitK(k), l)),
-                        NablaK(k + l),
-                    ],
-                    k + l,
-                ),
-                Id(k + l),
-            ),
-        ),
-        Axiom(
-            "delta-counit-1", rb, ("k",),
-            lambda k: (compose_chain([DeltaK(k), pad(k, CounitK(k), 0)], k), Id(k)),
-        ),
-        Axiom(
-            "delta-counit-2", rb, ("k",),
-            lambda k: (compose_chain([DeltaK(k), pad(0, CounitK(k), k)], k), Id(k)),
-        ),
-        Axiom(
-            "delta-counit-12", rb, ("k", "l"),
-            lambda k, l: (
-                compose_chain(
-                    [
-                        DeltaK(k + l),
-                        plus(pad(k, CounitK(l), 0), pad(0, CounitK(k), l)),
-                    ],
-                    k + l,
-                ),
-                Id(k + l),
-            ),
-        ),
-        Axiom("unit-zero", rb, (), lambda: (UnitK(0), Id(0))),
-        Axiom("counit-zero", rb, (), lambda: (CounitK(0), Id(0))),
-        Axiom("nabla-zero", rb, (), lambda: (NablaK(0), Id(0))),
-        Axiom("delta-zero", rb, (), lambda: (DeltaK(0), Id(0))),
-        Axiom(
-            "nabla-delta", rb, ("k",),
-            lambda k: (compose_chain([DeltaK(k), NablaK(k)], k), Id(k)),
-        ),
-        Axiom("tau-dual", rb, (), lambda: (tau_rb(), tau_rb_alt())),
+    ] + _equations(rb, {}, _RB_UNITS) + [
         Axiom("tau-acute-nat", rb, ("f",), acute_nat, ranges=_pool_ranges(pool)),
         Axiom("tau-grave-nat", rb, ("f",), grave_nat, ranges=_pool_ranges(pool)),
         Axiom(
@@ -1064,44 +1034,7 @@ def _rb_axioms() -> list[Axiom]:
             ),
             ranges=_mask_ranges(4, 4),
         ),
-        Axiom(
-            "nabla-union", rb, ("k",),
-            lambda k: (
-                NablaK(k),
-                _union(
-                    pad(k, CounitK(k), 0), pad(0, CounitK(k), k), TermType(2 * k, k)
-                ),
-            ),
-        ),
-        Axiom(
-            "delta-union", rb, ("k",),
-            lambda k: (
-                DeltaK(k),
-                _union(
-                    pad(k, UnitK(k), 0), pad(0, UnitK(k), k), TermType(k, 2 * k)
-                ),
-            ),
-        ),
-        Axiom(
-            "nabla-def", rb, ("n", "k", "m"),
-            lambda n, k, m: (
-                pad(n, NablaK(k), m),
-                _union(
-                    pad(n + k, CounitK(k), m), pad(n, CounitK(k), k + m),
-                    TermType(n + 2 * k + m, n + k + m),
-                ),
-            ),
-        ),
-        Axiom(
-            "delta-def", rb, ("n", "k", "m"),
-            lambda n, k, m: (
-                pad(n, DeltaK(k), m),
-                _union(
-                    pad(n + k, UnitK(k), m), pad(n, UnitK(k), k + m),
-                    TermType(n + k + m, n + 2 * k + m),
-                ),
-            ),
-        ),
+    ] + _equations(rb, {}, _RB_UNIONS) + [
         Axiom("unit-def", rb, ("n", "k", "m"), unit_def,
               guard=lambda n, k, m: n + m >= 1),
         Axiom("counit-def", rb, ("n", "k", "m"), counit_def,

@@ -29,7 +29,7 @@ import json
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Final, Iterable, Literal, NamedTuple
 
 Tag = Literal["s", "t"]
@@ -243,10 +243,25 @@ def _restride(count: int, stride: int, packed: int, width: int) -> tuple[int, in
     return new, int.from_bytes(bytes(new // 8 - keep).join(rows), "little")
 
 
-@lru_cache(maxsize=64)
-def _ones(count: int, stride: int) -> int:
-    # bit 0 of each of `count` rows; `(ones << w) - ones` is their low w bits
-    return int.from_bytes(b"\1".ljust(stride // 8, b"\0") * count, "little")
+_ONES_CACHE_BYTES = 1 << 16  # the widest ONES mask `_ones` keeps between calls
+
+
+class _Ones(dict):
+    """`_ones[count, stride]`: bit 0 of each of `count` rows, where
+    `(ones << w) - ones` is their low w bits.  Up to 64 masks are kept; a
+    wider one serves a matrix at least as large, and is built per call."""
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        count, stride = key
+        ones = int.from_bytes(b"\1".ljust(stride // 8, b"\0") * count, "little")
+        if count * stride <= 8 * _ONES_CACHE_BYTES:
+            if len(self) == 64:
+                self.clear()
+            self[key] = ones
+        return ones
+
+
+_ones = _Ones()
 
 
 def diagonal(count: int, stride: int) -> int:
@@ -262,7 +277,7 @@ def _close(packed: int, stride: int, count: int, vias: Iterable[int]) -> int:
     # Warshall sweep through the points in `vias`; adds exactly the pairs
     # reachable by chains whose inner points all lie in `vias`.  A step
     # copies row v onto every row holding bit v, marked by the selection.
-    ones, full = _ones(count, stride), (1 << stride) - 1
+    ones, full = _ones[count, stride], (1 << stride) - 1
     for via in vias:
         packed |= (packed >> via & ones) * (packed >> via * stride & full)
     return packed
@@ -294,7 +309,7 @@ def compose_rows(
     if body_stride != stride:
         _, body_rows = _restride(a + b, body_stride, body_rows, stride)
     # the body's columns, then its source rows and its target rows, glued
-    ones = _ones(a + b, stride)
+    ones = _ones[a + b, stride]
     glued = (body_rows & (ones << a) - ones) << at
     glued |= (body_rows >> a & (ones << b) - ones) << cut
     sources, targets = glued & (1 << a * stride) - 1, glued >> a * stride
@@ -306,7 +321,7 @@ def compose_rows(
         rows >> cut * stride
         | (rows >> tail * stride & (1 << right * stride) - 1) << b * stride
     ) << at * stride
-    ones = _ones(cut + b, stride)
+    ones = _ones[cut + b, stride]
     rows = rows & (ones << at) - ones | (
         rows >> cut & (ones << b) - ones | (rows >> tail & (ones << right) - ones) << b
     ) << at
@@ -323,7 +338,7 @@ def compose_rel_rows(r: Packed, left: int, body: Packed, right: int) -> Packed:
     k, tail = left + b + right, left + a
     if k > stride:
         stride, rows = _restride(n, stride, rows, k)
-    ones = _ones(n, stride)
+    ones = _ones[n, stride]
     out = rows & (ones << left) - ones
     out |= (rows >> tail & (ones << right) - ones) << left + b
     for j, row in enumerate(unpack_rows(a, body_stride, body_rows), left):

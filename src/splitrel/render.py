@@ -9,7 +9,7 @@ the source); a two-way link is drawn as a plain line.
 """
 from __future__ import annotations
 
-from splitrel.relations import BinRel, Node, SplitRelation, src, tgt
+from splitrel.relations import BinRel, Node, SplitRelation
 
 __all__ = ["ascii_picture", "dot_graph", "text_listing"]
 

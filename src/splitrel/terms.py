@@ -489,14 +489,6 @@ def tau_rb() -> ArrowTerm:
     )
 
 
-def tau_rb_alt() -> ArrowTerm:
-    """The RB transposition via counits and the co-fold."""
-    return Comp(
-        plus(pad(0, CounitK(1), 1), pad(1, CounitK(1), 0)),
-        DeltaK(2),
-    )
-
-
 def tau_acute(k: int) -> ArrowTerm:
     """k+1 -> k+1: move the last strand to the front, others shift right (RB)."""
     term: ArrowTerm = Id(1)
@@ -604,14 +596,3 @@ def hbar_in_pf() -> ArrowTerm:
     """The undirected bridge expressed with the directed one."""
     return compose_chain([H(), Swap(), H()], 2)
 
-
-def h_via_nabla(n: int, m: int) -> ArrowTerm:
-    """The padded directed bridge expressed by co-merge, down, merge."""
-    return compose_chain(
-        [
-            pad(n, delta_pf(), 1 + m),
-            pad(n + 1, down_pf(), 1 + m),
-            pad(n + 1, nabla_pf(), m),
-        ],
-        n + 2 + m,
-    )

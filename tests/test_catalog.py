@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -246,15 +247,50 @@ def test_axiom_names_keep_their_order(category):
 
 def test_table_sides_are_parsed_once_on_first_use(count_calls):
     parsed = count_calls(dsl, "parse")
+    printed = count_calls(dsl, "print_term")
     fresh = catalog._pf_axioms() + catalog._ef_axioms() + catalog._rb_axioms()
-    for category in Category:
-        for axiom in axiom_catalog(category):
-            assert list(instances(axiom, max_param=3))
-    assert parsed == []
+    for axiom in fresh:
+        assert list(instances(axiom, max_param=3))
+    assert (parsed, printed) == ([], [])
     frobenius = next(axiom for axiom in fresh if axiom.name == "frobenius-left")
     first = instantiate(frobenius, (0, 0))
     assert instantiate(frobenius, (1, 2)) == (pad(1, first[0], 2), pad(1, first[1], 2))
     assert len(parsed) == 2
+    # a line that lists its parameters parses its two sides at each instance,
+    # and prints its words only the first time
+    via = next(axiom for axiom in fresh if axiom.name == "h-via-nabla")
+    del printed[:]
+    instantiate(via, (0, 0))
+    assert instantiate(via, (1, 2))[0] == pad(1, H(), 2)
+    assert (len(parsed), len(printed)) == (6, 3)
+
+
+def test_line_parameters_are_substituted_and_sums_folded():
+    lhs, rhs = instantiate(axiom_named("h-def", Category.PF), (1, 2))
+    assert (lhs, rhs) == (pad(1, H(), 2), terms.eta_term(1, 2, 5))
+    lhs, rhs = instantiate(axiom_named("nabla-def", Category.RB), (1, 2, 0))
+    assert lhs == pad(1, NablaK(2), 0)
+    assert rhs == parse("union(pad(3, counitk(2), 0), pad(1, counitk(2), 2))",
+                        Category.RB)
+    assert instantiate(axiom_named("unit-zero", Category.RB)) == (
+        terms.UnitK(0), Id(0)
+    )
+
+
+TABLES = {
+    name: value
+    for name, value in vars(catalog).items()
+    if name.isupper() and isinstance(value, str)
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_every_listed_parameter_occurs_in_its_line(table):
+    for line in TABLES[table].strip().splitlines():
+        head, equation = line.split(": ")
+        used = set(re.findall("[a-z]+", equation))
+        listed = re.findall("[a-z]+", head.partition("(")[2])
+        assert [name for name in listed if name not in used] == [], line
 
 
 # ------------------------------------------------------------------ shared arrows
@@ -288,23 +324,16 @@ def test_sample_relations_are_built_once():
 
 
 @pytest.mark.parametrize("category", [Category.PF, Category.EF], ids=lambda c: c.name)
-def test_bridge_arrow_caches_stay_within_their_bound(category):
+def test_bridge_arrow_cache_holds_the_same_arrows_at_every_bound(category):
+    family = [axiom.name for axiom in catalog._bridge_family(category, terms.eta_term)]
     arrows = _bridge_arrows(category)
-    assert arrows.cache_info().maxsize == catalog._BRIDGE_ARROWS
-    # tau-def asks for 338 distinct bridge arrows up to 12, each once
-    assert check_axiom(axiom_named("tau-def", category), 12) == (169, [])
-    assert arrows.cache_info().currsize == catalog._BRIDGE_ARROWS
-    # every arrow the bridge families use at bound 3 fits in the cache
-    used = set()
-
-    def counting(i, j, width):
-        used.add((i, j, width))
-        return arrows.__wrapped__(i, j, width)
-
-    for axiom in catalog._bridge_family(category, counting):
-        for params in instances(axiom, max_param=3):
-            instantiate(axiom, params)
-    assert len(used) == 90 <= catalog._BRIDGE_ARROWS
+    arrows.cache_clear()
+    # the families build 76 distinct bridge arrows, and a higher bound no more
+    for bound in (3, 12):
+        for name in family:
+            assert check_axiom(axiom_named(name, category), bound)[1] == []
+        info = arrows.cache_info()
+        assert (info.currsize, info.misses) == (76, 76)
 
 
 def test_instantiating_twice_gives_equal_sides():

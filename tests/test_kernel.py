@@ -13,6 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitrel import cli, relations
 from splitrel.dsl import parse
 from splitrel.relations import (
     compose_rel_rows,
@@ -299,3 +300,21 @@ def test_eq_through_one_memo_compares_values_of_different_strides():
     assert _walk(g, _MODELS[Category.PF], memo)[1][2] == 64
     assert not _same_value(Swap(), g, Category.PF, memo)
     assert _same_value(HBar(), _widening(40, HBar()), Category.EF, {})
+
+
+def test_no_wide_ones_mask_outlives_its_call(capsys):
+    relations._ones.clear()
+    assert cli.main(["eval", "--format", "json", "pad(4094, h, 0)"]) == 0
+    capsys.readouterr()
+    # the matrix of 8,194 rows at stride 16,384 needs a 16 MiB mask
+    kept = relations._ones
+    assert kept and all(count * stride // 8 <= relations._ONES_CACHE_BYTES
+                        for count, stride in kept)
+
+
+def test_ones_masks_are_kept_up_to_a_bound():
+    relations._ones.clear()
+    for count in range(1, 100):
+        ones = relations._ones[count, 8]
+        assert ones == sum(1 << 8 * row for row in range(count))
+    assert 0 < len(relations._ones) <= 64

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from splitrel.catalog import axiom_catalog, instances, instantiate
-from splitrel.dsl import parse
+from splitrel.dsl import parse, print_term
 from splitrel.fuzz import TermSampler, random_term, random_term_pair
 from splitrel.relations import (
     BinRel,
@@ -43,7 +43,6 @@ from splitrel.terms import (
     down_pf,
     eta_term,
     etabar_term,
-    h_via_nabla,
     hbar_in_pf,
     iota_term,
     nabla_down_pf,
@@ -55,7 +54,6 @@ from splitrel.terms import (
     tau_acute,
     tau_grave,
     tau_rb,
-    tau_rb_alt,
     type_of,
     union_term,
     unit_power,
@@ -165,7 +163,9 @@ def test_eval_rel_fold_unfold():
 def test_eval_tau_rb():
     expected = BinRel(2, 2, {(0, 1), (1, 0)})
     assert eval_term(tau_rb()) == expected
-    assert eval_term(tau_rb_alt()) == expected
+    # the transposition through the counits and the co-fold
+    alt = parse("plus(pad(0, counit, 1), pad(1, counit, 0)) . delta(2)", Category.RB)
+    assert eval_term(alt) == expected
 
 
 def test_eval_tau_rotations():
@@ -215,8 +215,12 @@ def test_eval_nabla_down():
 
 
 def test_eval_h_via_nabla():
-    assert equal(h_via_nabla(0, 0), H())
-    assert equal(h_via_nabla(1, 2), pad(1, H(), 2))
+    # the padded directed bridge through co-merge, down and merge
+    merge, down, split = (f"({print_term(t())})" for t in (nabla_pf, down_pf, delta_pf))
+    for n, m in [(0, 0), (1, 2)]:
+        text = (f"pad({n + 1}, {merge}, {m}) . pad({n + 1}, {down}, {1 + m})"
+                f" . pad({n}, {split}, {1 + m})")
+        assert equal(parse(text, Category.PF), pad(n, H(), m))
 
 
 def test_eval_ef_merges():

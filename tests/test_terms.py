@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitrel import terms
+from splitrel.dsl import parse, print_term
 from splitrel.fuzz import random_term
 from splitrel.normalform import IotaNF, iota_nf_term
 from splitrel.terms import (
@@ -36,7 +37,6 @@ from splitrel.terms import (
     down_pf,
     eta_term,
     etabar_term,
-    h_via_nabla,
     hbar_in_pf,
     iota_term,
     nabla_down_pf,
@@ -51,7 +51,6 @@ from splitrel.terms import (
     tau_acute,
     tau_grave,
     tau_rb,
-    tau_rb_alt,
     type_of,
     union_term,
     unit_power,
@@ -440,7 +439,8 @@ def test_union_term_error_messages_are_pinned(f, g, message):
 
 def test_tau_rb_types():
     assert type_of(tau_rb()) == TermType(2, 2)
-    assert type_of(tau_rb_alt()) == TermType(2, 2)
+    alt = parse("plus(pad(0, counit, 1), pad(1, counit, 0)) . delta(2)", Category.RB)
+    assert type_of(alt) == TermType(2, 2)
     assert category_of(tau_rb()) is Category.RB
 
 
@@ -480,7 +480,11 @@ def test_merge_family_types():
     assert type_of(nabla_ef()) == TermType(2, 1)
     assert type_of(delta_ef()) == TermType(1, 2)
     assert type_of(hbar_in_pf()) == TermType(2, 2)
-    assert type_of(h_via_nabla(1, 2)) == TermType(5, 5)
+    merge, down, split = (f"({print_term(t())})" for t in (nabla_pf, down_pf, delta_pf))
+    h_via_nabla = parse(
+        f"pad(2, {merge}, 2) . pad(2, {down}, 3) . pad(1, {split}, 3)", Category.PF
+    )
+    assert type_of(h_via_nabla) == TermType(5, 5)
 
 
 def test_merge_family_categories():

@@ -9,34 +9,37 @@ in one of two forms.  A ``name: lhs = rhs`` line takes only the trailing
 untouched strands, so padded occurrences can be matched and rewritten
 in place, and the two sides are parsed once, on first instantiation.
 A ``name(n, m): lhs = rhs`` line takes exactly the parameters it lists
-and is not padded: at each instantiation every parameter, as a whole
-word, is replaced by its value, every sum of numerals such as
-``n+2+m`` by its total, and both sides are parsed (``name():`` lists
-none).  The lines come in blocks, in catalog order: the symmetry core
-and the Frobenius block, shared by PF and EF; the `h` laws, the `down`
-laws and the `h` definitions with `tau-def` of PF; the `hbar` laws and
-definitions, and `tau-def`, of EF; RB's unit and zero laws, and its
-union definitions.  A word bound to a derived arrow of `terms` reads as
-that arrow in brackets, printed once per line on first use: in PF
-`merge`, `split`, `down`, `up`, `upalt`, `mergedown` and `splitdown` are
-`nabla_pf`, `delta_pf`, `down_pf`, `up_pf`, `up_pf_alt`, `nabla_down_pf`
-and `delta_down_pf`; in EF `merge` and `split` are `nabla_ef` and
-`delta_ef`.  Importing the module, listing the catalogs and enumerating
-instances parse and print nothing.
+and is not padded (``name():`` lists none); one declared as ``f<16``
+runs below 16 whatever the bound, and a value outside is not
+admissible.  At each instantiation every integer parameter is replaced
+by its value, every sum such as ``n+2+m`` by its total, and both sides,
+scanned once on first use, are parsed.  The lines come in blocks, in
+catalog order: the symmetry core and the Frobenius block, shared by PF
+and EF; the `h` laws, the `down` laws and the `h` definitions with
+`tau-def` of PF; the `hbar` laws and definitions, and `tau-def`, of EF;
+RB's unit and zero laws, its mask families and its union definitions.
 
-An axiom stays code when it has its own `ranges` or a `guard`, draws
-from a pool or a mask, or needs what the term language cannot write:
-`drop`, `natural_term`, `tau_acute` or `iota_nf`.  The mask families
-over `_rel`'s sample relations wait for a template design: parsing
-their long printed sides per instance would touch 2,480 instances.
+The parser reads a bound word as its arrow, ahead of any atom of that
+name: in PF `merge`, `split`, `down`, `up`, `upalt`, `mergedown` and
+`splitdown` are `nabla_pf`, `delta_pf`, `down_pf`, `up_pf`, `up_pf_alt`,
+`nabla_down_pf` and `delta_down_pf`; in EF `merge` and `split` are
+`nabla_ef` and `delta_ef`.  The parameters `f`, `g` and `h` name arrows,
+as in the paper: each is the sample relation `_rel` its value selects,
+on 2 -> 2 points, but if declared below 4 on 1 -> 2, and `g` on 2 -> 1.
+Importing the module, listing the catalogs and enumerating instances
+scan, parse and print nothing; instantiating prints nothing.
+
+An axiom stays code when its parameters run over a pool, or under a
+guard or ranges that tie them together, or when it needs what the term
+language cannot write: `drop`, `natural_term`, `tau_acute` or `iota_nf`.
 
 Arrows that many instances share are built once per process: the
-sample relations `_rel` of the union and plus families (24 of them), and
-each signature's bridge arrows `e(i, j, width)` in `_bridge_family`, in
-a plain cache, since its families use the same 76 at every parameter
-bound.  Sharing is safe because terms are frozen and every builder,
-`pad`, `apply_axiom` included, makes new nodes around a shared one
-instead of changing it.  Whole instances are not kept: `check-axioms`
+sample relations `_rel` of the mask families (24 of them), the bound
+words, and each signature's bridge arrows `e(i, j, width)` in
+`_bridge_family`, in a plain cache, since its families use the same 76
+at every parameter bound.  Sharing is safe because terms are frozen and
+every builder, `pad`, `apply_axiom` included, makes new nodes around a
+shared one instead of changing it.  Whole instances are not kept: `check-axioms`
 builds each of them once, so such a cache would only hold memory.
 """
 
@@ -48,7 +51,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .dsl import parse, print_term
+from .dsl import _parse_scanned, print_term
 from .normalform import IotaNF, iota_nf_term
 from .semantics import equal
 from .terms import (
@@ -69,7 +72,6 @@ from .terms import (
     Unit,
     UnitK,
     _sum,
-    _union,
     category_of,
     compose_chain,
     delta_down_pf,
@@ -155,9 +157,12 @@ def instantiate(axiom: Axiom, params: Sequence[int] = ()) -> _Pair:
 def instances(axiom: Axiom, max_param: int = 3) -> Iterator[tuple[int, ...]]:
     """All admissible parameter tuples with entries bounded by max_param.
 
-    Pool-indexing and selection-mask parameters run over their own fixed
-    ranges, independent of the bound.
+    Pool-indexing, selection-mask and declared parameters run over their
+    own fixed ranges, independent of the bound.  A negative bound is a
+    `ValueError`.
     """
+    if max_param < 0:
+        raise ValueError(f"the parameter bound must be non-negative, got {max_param}")
     cores: Iterable[tuple[int, ...]]
     if axiom.ranges is not None:
         cores = axiom.ranges(max_param)
@@ -168,13 +173,11 @@ def instances(axiom: Axiom, max_param: int = 3) -> Iterator[tuple[int, ...]]:
             guard = axiom.guard
             cores = (c for c in cores if guard(*c))
     if not axiom.padded:
-        yield from (tuple(c) for c in cores)
-        return
+        return (tuple(c) for c in cores)
     pads = range(max_param + 1)
-    for core in cores:
-        for left in pads:
-            for right in pads:
-                yield tuple(core) + (left, right)
+    return (
+        tuple(core) + (left, right) for core in cores for left in pads for right in pads
+    )
 
 
 def check_axiom(
@@ -617,55 +620,84 @@ nabla-def(n, k, m): pad(n, nabla(k), m) = union(pad(n+k, counitk(k), m), pad(n, 
 delta-def(n, k, m): pad(n, delta(k), m) = union(pad(n+k, unitk(k), m), pad(n, unitk(k), k+m))
 """
 
-_PF_WORDS: dict[str, Callable[[], ArrowTerm]] = {
-    "merge": nabla_pf,
-    "split": delta_pf,
-    "down": down_pf,
-    "up": up_pf,
-    "upalt": up_pf_alt,
-    "mergedown": nabla_down_pf,
-    "splitdown": delta_down_pf,
-}
+_RB_MASKS = """
+union-assoc(f<8, g<8, h<8): union(f, union(g, h)) = union(union(f, g), h)
+union-comm(f<16, g<16): union(f, g) = union(g, f)
+union-idem(f<16): union(f, f) = f
+union-zero(f<16): union(f, zero(2, 2)) = f
+comp-union-left(f<8, g<8, h<8): f . union(g, h) = union(f . g, f . h)
+comp-union-right(f<8, g<8, h<8): union(g, h) . f = union(g . f, h . f)
+comp-zero-left(f<16, k<4): zero(2, k) . f = zero(2, k)
+comp-zero-right(f<16, k<4): f . zero(k, 2) = zero(k, 2)
+pad-union-left(f<16, g<16): pad(1, union(f, g), 0) = union(pad(1, f, 0), pad(1, g, 0))
+pad-union-right(f<16, g<16): pad(0, union(f, g), 1) = union(pad(0, f, 1), pad(0, g, 1))
+plus-union(f<4, g<4): plus(f, g) = union(plus(f, zero(2, 1)), plus(zero(1, 2), g))
+"""
 
-_EF_WORDS: dict[str, Callable[[], ArrowTerm]] = {"merge": nabla_ef, "split": delta_ef}
+_Bound = dict[str, tuple[ArrowTerm, TermType]]
 
 
-def _equations(
-    category: Category, words: dict[str, Callable[[], ArrowTerm]], *tables: str
-) -> list[Axiom]:
-    """An axiom for each line of `tables`, in either form the module
-    describes, its sides parsed in `category`."""
+def _bound(**arrows: ArrowTerm) -> _Bound:
+    return {word: (arrow, type_of(arrow)) for word, arrow in arrows.items()}
 
-    def spelled(equation: str) -> Callable[[], list[str]]:
-        # the two sides with each bound word printed, on first use
-        def arrow(word: re.Match) -> str:
-            bound = words.get(word[0])
-            return word[0] if bound is None else f"({print_term(bound())})"
 
-        return functools.cache(lambda: re.sub("[a-z]+", arrow, equation).split(" = "))
+_PF_WORDS = _bound(
+    merge=nabla_pf(),
+    split=delta_pf(),
+    down=down_pf(),
+    up=up_pf(),
+    upalt=up_pf_alt(),
+    mergedown=nabla_down_pf(),
+    splitdown=delta_down_pf(),
+)
 
-    def fixed(equation: str) -> Callable[[], _Pair]:
-        sides = spelled(equation)
+_EF_WORDS = _bound(merge=nabla_ef(), split=delta_ef())
+
+# a word of a line: a name, a numeral, a sum such as `n+2+m`, or a mark
+_LINE_WORD = re.compile(r"[a-z\d]+(?:\+[a-z\d]+)*|[.,;()]")
+
+# the parameters that name arrows: each is a sample relation `_rel(mask)`
+_MASKS = ("f", "g", "h")
+
+
+def _equations(category: Category, arrows: _Bound, *tables: str) -> list[Axiom]:
+    """An axiom for each line of `tables`, in any form the module
+    describes, its sides parsed in `category` with the words of `arrows`
+    bound."""
+
+    def schema(declared: Sequence[tuple[str, int | None]], equation: str) -> Callable:
+        numeric = {name for name, _ in declared if name not in _MASKS}
 
         @functools.cache
-        def build() -> _Pair:
-            lhs, rhs = sides()
-            return parse(lhs, category), parse(rhs, category)
-
-        return build
-
-    def schema(params: tuple[str, ...], equation: str) -> Callable[..., _Pair]:
-        sides = spelled(equation)
+        def sides() -> list[tuple[str, list[str], list[tuple[int, list[str]]]]]:
+            # each side, its words, and where its integer parameters and sums are
+            scanned = []
+            for side in equation.split(" = "):
+                words = _LINE_WORD.findall(side) + [""]
+                slots = [(k, word.split("+")) for k, word in enumerate(words)
+                         if word in numeric or "+" in word]
+                scanned.append((side, words, slots))
+            return scanned
 
         def build(*values: int) -> _Pair:
-            named = dict(zip(params, map(str, values)))
-
-            def read(side: str) -> ArrowTerm:
-                side = re.sub("[a-z]+", lambda word: named.get(word[0], word[0]), side)
-                return parse(re.sub(r"\d+(?:\+\d+)+", _total, side), category)
-
-            lhs, rhs = sides()
-            return read(lhs), read(rhs)
+            bound = dict(arrows)
+            numbers = {}
+            for (name, size), value in zip(declared, values):
+                if name in _MASKS:
+                    bound[name] = _sample(name, size, value)
+                else:
+                    numbers[name] = value
+            pair = []
+            for side, words, slots in sides():
+                if slots:
+                    words = words.copy()
+                    for k, parts in slots:
+                        words[k] = str(sum(
+                            numbers[part] if part in numbers else int(part)
+                            for part in parts
+                        ))
+                pair.append(_parse_scanned(side, words, category, bound)[0])
+            return tuple(pair)
 
         return build
 
@@ -673,18 +705,26 @@ def _equations(
     for line in (line for table in tables for line in table.strip().splitlines()):
         head, equation = line.split(": ")
         name, listed, names = head.partition("(")
-        if listed:
-            params = tuple(re.findall("[a-z]+", names))
-            axioms.append(Axiom(name, category, params, schema(params, equation)))
-        else:
-            axioms.append(
-                Axiom(name, category, ("lpad", "rpad"), fixed(equation), padded=True)
-            )
+        if not listed:
+            build = functools.cache(schema((), equation))
+            axioms.append(Axiom(name, category, ("lpad", "rpad"), build, padded=True))
+            continue
+        declared = tuple(
+            (param, int(size) if size else None)
+            for param, size in re.findall(r"([a-z]+)(?:<(\d+))?", names)
+        )
+        sizes = tuple(size for _, size in declared)
+        axioms.append(Axiom(
+            name, category, tuple(param for param, _ in declared),
+            schema(declared, equation),
+            guard=lambda *values, sizes=sizes: all(
+                size is None or value < size for value, size in zip(values, sizes)
+            ),
+            ranges=lambda max_param, sizes=sizes: itertools.product(*(
+                range(max_param + 1 if size is None else size) for size in sizes
+            )),
+        ))
     return axioms
-
-
-def _total(numerals: re.Match) -> str:
-    return str(sum(map(int, numerals[0].split("+"))))
 
 
 # --------------------------------------------------------------------
@@ -794,14 +834,14 @@ def _rel(mask: int, n: int = 2, m: int = 2) -> ArrowTerm:
     return iota_nf_term(IotaNF(n, m, pairs))
 
 
-_SQUARE = TermType(2, 2)  # the type of `_rel`'s default sample relations
-
-
-def _mask_ranges(*sizes: int) -> Callable[[int], Iterator[tuple[int, ...]]]:
-    def gen(max_param: int) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(size) for size in sizes))
-
-    return gen
+def _sample(name: str, size: int, mask: int) -> tuple[ArrowTerm, TermType]:
+    """The sample relation that mask parameter `name`, declared below
+    `size`, reads as: on 2 -> 2 points, but below 4 on 1 -> 2, and on
+    2 -> 1 for `g`."""
+    if size > 4:
+        return _rel(mask), TermType(2, 2)
+    n, m = (2, 1) if name == "g" else (1, 2)
+    return _rel(mask, n, m), TermType(n, m)
 
 
 def _rb_axioms() -> list[Axiom]:
@@ -936,105 +976,7 @@ def _rb_axioms() -> list[Axiom]:
                 ),
             ),
         ),
-        Axiom(
-            "union-assoc", rb, ("f", "g", "h"),
-            lambda a, b, c: (
-                _union(_rel(a), _union(_rel(b), _rel(c), _SQUARE), _SQUARE),
-                _union(_union(_rel(a), _rel(b), _SQUARE), _rel(c), _SQUARE),
-            ),
-            ranges=_mask_ranges(8, 8, 8),
-        ),
-        Axiom(
-            "union-comm", rb, ("f", "g"),
-            lambda a, b: (
-                _union(_rel(a), _rel(b), _SQUARE),
-                _union(_rel(b), _rel(a), _SQUARE),
-            ),
-            ranges=_mask_ranges(16, 16),
-        ),
-        Axiom(
-            "union-idem", rb, ("f",),
-            lambda a: (_union(_rel(a), _rel(a), _SQUARE), _rel(a)),
-            ranges=_mask_ranges(16),
-        ),
-        Axiom(
-            "union-zero", rb, ("f",),
-            lambda a: (
-                _union(_rel(a), zero_term(2, 2, rb), _SQUARE), _rel(a)
-            ),
-            ranges=_mask_ranges(16),
-        ),
-        Axiom(
-            "comp-union-left", rb, ("f", "g", "h"),
-            lambda a, b, c: (
-                compose_chain([_union(_rel(b), _rel(c), _SQUARE), _rel(a)], 2),
-                _union(
-                    compose_chain([_rel(b), _rel(a)], 2),
-                    compose_chain([_rel(c), _rel(a)], 2),
-                    _SQUARE,
-                ),
-            ),
-            ranges=_mask_ranges(8, 8, 8),
-        ),
-        Axiom(
-            "comp-union-right", rb, ("f", "g", "h"),
-            lambda a, b, c: (
-                compose_chain([_rel(a), _union(_rel(b), _rel(c), _SQUARE)], 2),
-                _union(
-                    compose_chain([_rel(a), _rel(b)], 2),
-                    compose_chain([_rel(a), _rel(c)], 2),
-                    _SQUARE,
-                ),
-            ),
-            ranges=_mask_ranges(8, 8, 8),
-        ),
-        Axiom(
-            "comp-zero-left", rb, ("f", "k"),
-            lambda a, k: (
-                compose_chain([_rel(a), zero_term(2, k, rb)], 2),
-                zero_term(2, k, rb),
-            ),
-            ranges=_mask_ranges(16, 4),
-        ),
-        Axiom(
-            "comp-zero-right", rb, ("f", "k"),
-            lambda a, k: (
-                compose_chain([zero_term(k, 2, rb), _rel(a)], k),
-                zero_term(k, 2, rb),
-            ),
-            ranges=_mask_ranges(16, 4),
-        ),
-        Axiom(
-            "pad-union-left", rb, ("f", "g"),
-            lambda a, b: (
-                pad(1, _union(_rel(a), _rel(b), _SQUARE), 0),
-                _union(pad(1, _rel(a), 0), pad(1, _rel(b), 0), TermType(3, 3)),
-            ),
-            ranges=_mask_ranges(16, 16),
-        ),
-        Axiom(
-            "pad-union-right", rb, ("f", "g"),
-            lambda a, b: (
-                pad(0, _union(_rel(a), _rel(b), _SQUARE), 1),
-                _union(pad(0, _rel(a), 1), pad(0, _rel(b), 1), TermType(3, 3)),
-            ),
-            ranges=_mask_ranges(16, 16),
-        ),
-        Axiom(
-            "plus-union", rb, ("f", "g"),
-            lambda a, b: (
-                _sum(_rel(a, 1, 2), TermType(1, 2), _rel(b, 2, 1), TermType(2, 1)),
-                _union(
-                    _sum(_rel(a, 1, 2), TermType(1, 2),
-                         zero_term(2, 1, rb), TermType(2, 1)),
-                    _sum(zero_term(1, 2, rb), TermType(1, 2),
-                         _rel(b, 2, 1), TermType(2, 1)),
-                    TermType(3, 3),
-                ),
-            ),
-            ranges=_mask_ranges(4, 4),
-        ),
-    ] + _equations(rb, {}, _RB_UNIONS) + [
+    ] + _equations(rb, {}, _RB_MASKS, _RB_UNIONS) + [
         Axiom("unit-def", rb, ("n", "k", "m"), unit_def,
               guard=lambda n, k, m: n + m >= 1),
         Axiom("counit-def", rb, ("n", "k", "m"), counit_def,

@@ -227,10 +227,11 @@ class _Parser:
     and the caller then asks `type_of` for the error, once the whole text
     has parsed."""
 
-    def __init__(self, text: str, words: list[str], category: Category):
+    def __init__(self, text: str, words: list[str], category: Category, bound: dict):
         self.text = text
         self.words = words
         self.category = category
+        self.bound = bound
         self.index = 0
         self.mismatch = False
 
@@ -280,6 +281,9 @@ class _Parser:
             inner = self.term()
             self.expect(")")
             return inner
+        if word in self.bound:
+            term, (src, tgt) = self.bound[word]
+            return term, src, tgt
         if word not in _ATOMS:
             if "a" <= word[:1] <= "z":
                 raise self.error(f"unknown atom {word!r}", index)
@@ -340,9 +344,11 @@ def _scan(
 
 
 def _parse_scanned(
-    body: str, words: list[str], category: Category
+    body: str, words: list[str], category: Category, bound: dict = {}
 ) -> tuple[ArrowTerm, TermType]:
-    parser = _Parser(body, words, category)
+    """The term of scanned `words` and its type.  A word of `bound` reads
+    as its `(arrow, type)`, ahead of any atom of that name."""
+    parser = _Parser(body, words, category, bound)
     term, src, tgt = parser.term()
     trailing = words[parser.index]
     if trailing:

@@ -246,7 +246,7 @@ def test_axiom_names_keep_their_order(category):
 
 
 def test_table_sides_are_parsed_once_on_first_use(count_calls):
-    parsed = count_calls(dsl, "parse")
+    parsed = count_calls(dsl, "_parse_scanned")
     printed = count_calls(dsl, "print_term")
     fresh = catalog._pf_axioms() + catalog._ef_axioms() + catalog._rb_axioms()
     for axiom in fresh:
@@ -257,12 +257,13 @@ def test_table_sides_are_parsed_once_on_first_use(count_calls):
     assert instantiate(frobenius, (1, 2)) == (pad(1, first[0], 2), pad(1, first[1], 2))
     assert len(parsed) == 2
     # a line that lists its parameters parses its two sides at each instance,
-    # and prints its words only the first time
+    # and prints nothing: its words and masks are bound to their arrows
     via = next(axiom for axiom in fresh if axiom.name == "h-via-nabla")
-    del printed[:]
     instantiate(via, (0, 0))
     assert instantiate(via, (1, 2))[0] == pad(1, H(), 2)
-    assert (len(parsed), len(printed)) == (6, 3)
+    union_assoc = next(axiom for axiom in fresh if axiom.name == "union-assoc")
+    instantiate(union_assoc, (1, 2, 3))
+    assert (len(parsed), printed) == (8, [])
 
 
 def test_line_parameters_are_substituted_and_sums_folded():
@@ -275,6 +276,60 @@ def test_line_parameters_are_substituted_and_sums_folded():
     assert instantiate(axiom_named("unit-zero", Category.RB)) == (
         terms.UnitK(0), Id(0)
     )
+
+
+def test_mask_parameters_read_as_sample_relations(count_calls):
+    resolved = count_calls(dsl, "_resolve_category")
+    forced = count_calls(terms, "forced_category")
+    lhs, rhs = instantiate(axiom_named("union-assoc", Category.RB), (1, 2, 3))
+    plus_union, _ = instantiate(axiom_named("plus-union", Category.RB), (2, 1))
+    assert resolved == forced == []
+    # `h`, union-assoc's third mask, reads as its relation, not as the PF atom
+    f, g, h = (catalog._rel(mask) for mask in (1, 2, 3))
+    assert lhs == terms.union_term(f, terms.union_term(g, h))
+    assert rhs == terms.union_term(terms.union_term(f, g), h)
+    # masks declared below 4 are on 1 -> 2 points, and `g` on 2 -> 1
+    assert plus_union == terms.plus(catalog._rel(2, 1, 2), catalog._rel(1, 2, 1))
+
+
+MASK_COUNTS = {
+    "union-assoc": 512, "union-comm": 256, "union-idem": 16, "union-zero": 16,
+    "comp-union-left": 512, "comp-union-right": 512, "comp-zero-left": 64,
+    "comp-zero-right": 64, "pad-union-left": 256, "pad-union-right": 256,
+    "plus-union": 16,
+}
+
+
+@pytest.mark.parametrize("bound", [0, 3, 6])
+def test_mask_families_have_fixed_instance_counts(bound):
+    counts = {
+        name: len(list(instances(axiom_named(name, Category.RB), bound)))
+        for name in MASK_COUNTS
+    }
+    assert counts == MASK_COUNTS
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("comp-zero-left", (0, 9)), ("union-assoc", (15, 0, 0)), ("plus-union", (0, 4))],
+)
+def test_declared_ranges_are_enforced(name, params):
+    with pytest.raises(ValueError, match="not admissible"):
+        instantiate(axiom_named(name, Category.RB), params)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: instances(axiom_named("tau-tau", Category.PF), -1),
+        lambda: check_axiom(axiom_named("union-comm", Category.RB), -1),
+        lambda: catalog_json(Category.PF, -1),
+    ],
+    ids=["instances", "check_axiom", "catalog_json"],
+)
+def test_a_negative_bound_is_refused(call):
+    with pytest.raises(ValueError, match="must be non-negative, got -1"):
+        call()
 
 
 TABLES = {

@@ -312,6 +312,24 @@ def test_parse_error_messages_are_pinned(text, category, message, line, col):
     assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
 
 
+def test_a_bound_word_reads_as_its_arrow_ahead_of_an_atom():
+    arrow = terms.iota_term(0, 1, 2, 2)
+    bound = {"h": (arrow, TermType(2, 2))}
+    text = "union(h, zero(2, 2)) . h"
+    words = dsl._tokenize(text)
+    term, term_type = dsl._parse_scanned(text, words, Category.RB, bound)
+    zero = terms.zero_term(2, 2, Category.RB)
+    assert term == Comp(terms.union_term(arrow, zero), arrow)
+    assert term_type == TermType(2, 2)
+    # unbound, `h` is the PF atom, and any other word keeps its error
+    with pytest.raises(ParseError) as exc:
+        dsl._parse_scanned(text, words, Category.RB)
+    assert str(exc.value) == "'h' is not a RB generator (line 1, column 7)"
+    with pytest.raises(ParseError) as exc:
+        dsl._parse_scanned("h . g", dsl._tokenize("h . g"), Category.RB, bound)
+    assert str(exc.value) == "unknown atom 'g' (line 1, column 5)"
+
+
 # text, exact message of the `TermTypeError`
 TYPE_ERRORS = [
     ("unit . unit", "cannot compose 0->1 with 0->1: 1 != 0"),

@@ -14,15 +14,19 @@ Inside the evaluator a value is `(n, m, S, M)`: its bit rows in one int
 M, row r at bits [r·S, r·S + S), with a power-of-two stride S ≥ 8 of its
 own.  A split value has a row per point of the flat n + m points
 (sources, then targets: the indexing `EtaNF` uses), an RB value a row of
-target bits per source.  A composition keeps the before factor's stride
-while the glued points fit and otherwise re-strides it once, so strides
-only grow along a spine; a body is read at its own stride.  When the
-after factor is `Pad(left, body, right)`, the composition takes `body`'s
-value under the padding and never builds the padded rows; any other after
-factor is its own body, and a padding on its own is the after factor of
-an identity.  A strand only renames a point, and every intermediate split
-value is a preorder, so a split composition closes only through the
-body's source points.  `_rows` unpacks only the result, as `(n, m, rows)`.
+target bits per source.  The three models are categories, so composition
+is associative and a term's value does not depend on how it is
+bracketed: the whole term is walked by a loop as one flat spine of its
+leaves in application order, each under the paddings that enclose it,
+added up.  Each step composes the value so far with one leaf under its
+padding, taking the leaf's value as it is and never building the padded
+rows; a padded first leaf is the after factor of an identity.  A
+composition keeps the before factor's stride while the glued points fit
+and otherwise re-strides it once, so strides only grow along a spine; a
+leaf is read at its own stride.  A strand only renames a point, and
+every intermediate split value is a preorder, so a split composition
+closes only through the leaf's source points.  `_rows` unpacks only the
+result, as `(n, m, rows)`.
 Each signature reads only its own generators: PF has no `HBar`, EF no
 `H`, and RB only the relational leaves, so a generator of another
 signature raises inside the walk.  `equal` with a category therefore
@@ -37,14 +41,19 @@ read their payloads and pivots from rows.  A `SplitRelation` or
 `BinRel` is built only for a public result, by `eval_term` and for the
 results of a separation witness, and it takes the rows as they are: no
 pair set is built unless its `.pairs` view is read.
-Each public call evaluates through a memo of its own, keyed on the
-value of each subterm, so a subterm repeated inside the call is
-evaluated once and nothing is kept between calls.  `eq --separate`
-passes the memo of its comparison on to the separation.
+Each public call evaluates through a memo of its own, keyed on each
+leaf and each prefix of the spine, so a leaf is read once and a chain of
+factors that starts two terms of the call is composed once, and nothing
+is kept between calls.  `eq --separate` passes the memo of its
+comparison on to the separation.  The memo's keys are the truth and its
+values a cache: a value wider than `relations._ONES_CACHE_BYTES` is
+dropped once the spine has moved past it, and is composed again from its
+key chain only if a later term extends that prefix or ends on it, so a
+long spine of wide values holds only the few it is composing.
 """
 from __future__ import annotations
 
-from splitrel.relations import BinRel, Packed, SplitRelation
+from splitrel.relations import _ONES_CACHE_BYTES, BinRel, Packed, SplitRelation
 from splitrel.relations import compose_rel_rows, compose_rows, diagonal
 from splitrel.relations import pack_rows, stride_for, unpack_rows
 from splitrel.terms import (
@@ -66,6 +75,7 @@ from splitrel.terms import (
     UnitK,
     category_of,
     forced_category,
+    type_of,
 )
 
 SemValue = SplitRelation | BinRel
@@ -184,61 +194,87 @@ def _rows(t: ArrowTerm, category: Category, memo: dict) -> Rows:
     """The rows of `t` in `category`, sharing `memo` with earlier terms.
 
     The walk also types the term: an ill-typed composition raises the
-    error `type_of` would raise, and the value's sizes are the term's
-    type.  The memo holds packed values; only the result is unpacked.
+    error `type_of` raises, and the value's sizes are the term's type.
+    The memo holds packed values; only the result is unpacked.
     """
     n, m, stride, packed = _walk(t, _MODELS[category], memo)[1]
     return n, m, unpack_rows(n if category is Category.RB else n + m, stride, packed)
 
 
-def _walk(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Packed]:
-    # A key is a leaf itself, or `(left, body slot, right, before slot)`
-    # for a composition whose after factor is `Pad(left, body, right)`;
-    # any other after factor is the body, with left = right = 0, and a
-    # padding on its own is the after factor of an identity.  A padding
-    # strand only renames a point, so padded rows are never built.  The
-    # slot of a key is its entry's position in `memo`.  Equal subterms get
-    # equal keys, and no key hashes more than one tree level.  The before
-    # spine is walked by a loop and a leaf body is looked up in `memo`
-    # here, so only a body that is a composition or a padding costs a
-    # recursive call.
-    afters = []
-    while isinstance(t, Comp):
-        afters.append(t.after)
-        t = t.before
-    if isinstance(t, Pad):
-        entry = None  # its before factor is an identity as wide as its source
-        afters.append(t)
-    else:
-        entry = _leaf(t, model, memo)
-    for after in reversed(afters):
-        body, left, right = after, 0, 0
-        if isinstance(after, Pad):
-            body, left, right = after.body, after.left, after.right
-        if isinstance(body, (Comp, Pad)):
-            body_slot, body_value = _walk(body, model, memo)
-        else:
-            body_entry = memo.get(body)
-            if body_entry is None:
-                body_entry = memo[body] = (len(memo), model[0](body))
-            body_slot, body_value = body_entry
+def _walk(term: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Packed]:
+    # The whole term is one flat spine of padded leaves, walked by a loop
+    # over an explicit stack of (factor, left, right): a `Comp` pushes its
+    # after factor with the padding so far and the loop descends into its
+    # before factor, and a `Pad` adds its strands to the padding.  Each
+    # leaf, in application order, is composed onto the value so far under
+    # the key `(left, leaf slot, right, before slot)`; a padded first leaf
+    # is the after factor of an identity.  A padding strand only renames a
+    # point, so padded rows are never built.  The slot of a key is its
+    # entry's position in `memo`.  Composition is associative, so equal
+    # chains get equal keys however they are bracketed, and no key hashes
+    # more than one tree level.  The keys are the truth and the values a
+    # cache: once the spine has moved past a composition value wider than
+    # `_ONES_CACHE_BYTES`, its entry keeps only `(slot, None)`, and a later
+    # term that extends it, or ends on it, rebuilds it from its key chain.
+    leaf_of, compose = model
+    stack = [(term, 0, 0)]
+    key = entry = None
+    while stack:
+        t, left, right = stack.pop()
+        while isinstance(t, Comp):
+            stack.append((t.after, left, right))
+            t = t.before
+        if isinstance(t, Pad):
+            left += t.left
+            right += t.right
+            t = t.body
+            if isinstance(t, (Comp, Pad)):
+                stack.append((t, left, right))
+                continue
+        leaf = memo.get(t)
+        if leaf is None:
+            leaf = memo[t] = (len(memo), leaf_of(t))
         if entry is None:
-            entry = _leaf(Id(left + body_value[0] + right), model, memo)
-        before_slot, before_value = entry
-        key = (left, body_slot, right, before_slot)
-        entry = memo.get(key)
+            if not left and not right:
+                key, entry = t, leaf
+                continue
+            key = Id(left + leaf[1][0] + right)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = (len(memo), leaf_of(key))
+        before_slot, before = entry
+        after_key = (left, leaf[0], right, before_slot)
+        entry = memo.get(after_key)
         if entry is None:
-            _check_middle(before_value, left, body_value, right)
-            value = model[1](before_value, left, body_value, right)
-            entry = memo[key] = (len(memo), value)
+            if before is None:
+                before = _rebuild(key, compose, memo)
+            if before[1] != left + leaf[1][0] + right:
+                # the walk meets a mismatch just when the term is ill-typed,
+                # so `type_of` raises it, as a recursive walk words it
+                type_of(term)
+                _check_middle(before, left, leaf[1], right)
+            entry = memo[after_key] = (len(memo), compose(before, left, leaf[1], right))
+            if type(key) is tuple and before[3].bit_length() > 8 * _ONES_CACHE_BYTES:
+                memo[key] = (before_slot, None)
+        key = after_key
+    if entry[1] is None:
+        return entry[0], _rebuild(key, compose, memo)
     return entry
 
 
-def _leaf(t: ArrowTerm, model: tuple, memo: dict) -> tuple[int, Packed]:
-    entry = memo.get(t)
-    if entry is None:
-        entry = memo[t] = (len(memo), model[0](t))
-    return entry
+def _rebuild(key: tuple, compose, memo: dict) -> Packed:
+    # the dropped value of `key`, composed again from the nearest value on
+    # its key chain and stored back; slots are insertion positions, and no
+    # entry is ever deleted, so the list of keys recovers a slot's key
+    keys = list(memo)
+    chain = []
+    while (value := memo[key][1]) is None:
+        chain.append(key)
+        key = keys[key[3]]
+    for left, leaf_slot, right, _ in reversed(chain):
+        value = compose(value, left, memo[keys[leaf_slot]][1], right)
+    memo[chain[0]] = (memo[chain[0]][0], value)
+    return value
 
 
 def _boundary(value: Rows, category: Category) -> SemValue:

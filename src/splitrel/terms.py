@@ -19,9 +19,10 @@ Builders that already know the widths of their parts take them instead
 of walking the parts: the private `_sum` and `_union` (used by
 `iota_term`, `normalform.iota_nf_term` and the relational catalog)
 neither type nor check, so their callers must pass correct types.
-`pad` walks the before spine of a composition with a loop, and
-`forced_category` walks a term with an explicit stack, so neither
-recurses once per factor of a long chain.
+`pad` walks the before spine of a composition with a loop, so a long
+chain nested on the before side does not make it recurse once per
+factor; `type_of` and `forced_category` walk a term with an explicit
+stack, so no chain does, on either side.
 """
 from __future__ import annotations
 
@@ -137,39 +138,62 @@ class CounitK(ArrowTerm):
     k: int
 
 
+_TYPED = object()  # on `type_of`'s stack: the term below it has typed parts
+
+
 def type_of(t: ArrowTerm) -> TermType:
-    """Source and target widths, computed bottom-up."""
-    match t:
-        case Id(n):
-            return TermType(n, n)
-        case Unit():
-            return TermType(0, 1)
-        case Counit():
-            return TermType(1, 0)
-        case Swap() | H() | HBar():
-            return TermType(2, 2)
-        case NablaK(k):
-            return TermType(2 * k, k)
-        case DeltaK(k):
-            return TermType(k, 2 * k)
-        case UnitK(k):
-            return TermType(0, k)
-        case CounitK(k):
-            return TermType(k, 0)
-        case Pad(left, body, right):
-            inner = type_of(body)
-            return TermType(left + inner.src + right, left + inner.tgt + right)
-        case Comp(after, before):
-            before_t = type_of(before)
-            after_t = type_of(after)
+    """Source and target widths, computed bottom-up.
+
+    A post-order loop over an explicit stack, so a term nested deep on
+    either side does not recurse.  A composition's before factor is typed
+    first, then its after factor, and only then are the two checked
+    against each other, so the first mismatch found is the one a
+    recursive walk finds.
+    """
+    types: list[TermType] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t is _TYPED:
+            t = todo.pop()
+            if isinstance(t, Pad):
+                inner = types.pop()
+                types.append(
+                    TermType(t.left + inner.src + t.right, t.left + inner.tgt + t.right)
+                )
+                continue
+            after_t, before_t = types.pop(), types.pop()
             if before_t.tgt != after_t.src:
                 raise TermTypeError(
                     f"cannot compose {before_t} with {after_t}: "
                     f"{before_t.tgt} != {after_t.src}"
                 )
-            return TermType(before_t.src, after_t.tgt)
-        case _:
-            raise TermTypeError(f"not an arrow term: {t!r}")
+            types.append(TermType(before_t.src, after_t.tgt))
+            continue
+        match t:
+            case Comp(after, before):
+                todo += (t, _TYPED, after, before)
+            case Pad(_, body, _):
+                todo += (t, _TYPED, body)
+            case Id(n):
+                types.append(TermType(n, n))
+            case Swap() | H() | HBar():
+                types.append(TermType(2, 2))
+            case Unit():
+                types.append(TermType(0, 1))
+            case Counit():
+                types.append(TermType(1, 0))
+            case NablaK(k):
+                types.append(TermType(2 * k, k))
+            case DeltaK(k):
+                types.append(TermType(k, 2 * k))
+            case UnitK(k):
+                types.append(TermType(0, k))
+            case CounitK(k):
+                types.append(TermType(k, 0))
+            case _:
+                raise TermTypeError(f"not an arrow term: {t!r}")
+    return types[0]
 
 
 def _generator_kinds(t: ArrowTerm, found: set[str]) -> None:

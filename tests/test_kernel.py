@@ -9,6 +9,7 @@ above the least that fits, so the re-striding of either factor and both
 packing paths (at most 64 bits a row, and wider) are exercised.
 """
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,9 @@ from splitrel.terms import (
     Swap,
     Unit,
     UnitK,
+    compose_chain,
     pad,
+    zero_term,
 )
 
 # --------------------------------------------------------------------
@@ -300,6 +303,47 @@ def test_eq_through_one_memo_compares_values_of_different_strides():
     assert _walk(g, _MODELS[Category.PF], memo)[1][2] == 64
     assert not _same_value(Swap(), g, Category.PF, memo)
     assert _same_value(HBar(), _widening(40, HBar()), Category.EF, {})
+
+
+def test_a_dropped_spine_value_is_rebuilt_when_a_later_term_extends_it():
+    # at 300 points a side a split value (600 rows at stride 1,024) is
+    # wider than _ONES_CACHE_BYTES, so the spine drops it once past it
+    width, pf = 300, Category.PF
+    factors = [pad(k, H(), width - 2 - k) for k in (0, 5, 9, 150)]
+    memo = {}
+    assert _rows(compose_chain(factors, width), pf, memo) == _oracle_rows(
+        compose_chain(factors, width), pf
+    )
+    keys = list(memo)
+    dropped = [key for key, (_, value) in memo.items() if value is None]
+    # the first three compositions are superseded; the result is kept
+    assert len(dropped) == 3 and memo[keys[-1]][1] is not None
+    for key in dropped:
+        assert memo[key] == (keys.index(key), None)
+    # a term that extends the second dropped prefix rebuilds it
+    extended = compose_chain(factors[:2] + [pad(200, Swap(), width - 202)], width)
+    assert _rows(extended, pf, memo) == _oracle_rows(extended, pf)
+    assert len(memo) == len(keys) + 2  # the swap leaf and one composition
+    assert memo[dropped[1]][1] is None  # dropped again, once passed
+    # a term that ends on a dropped prefix reads it back
+    prefix = compose_chain(factors[:3], width)
+    assert _rows(prefix, pf, memo) == _oracle_rows(prefix, pf)
+    assert memo[dropped[2]][1] is not None and len(memo) == len(keys) + 2
+
+
+def test_a_wide_zero_keeps_only_the_values_it_can_reuse():
+    # each of the 1,024 spine values of zero(512, 512) is wider than
+    # _ONES_CACHE_BYTES; a walk that keeps them all peaks at about 100 MiB
+    t = zero_term(512, 512)
+    tracemalloc.start()
+    try:
+        n, m, rows = _rows(t, Category.PF, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert (n, m) == (512, 512)
+    assert rows == [1 << i for i in range(1024)]
 
 
 def test_no_wide_ones_mask_outlives_its_call(capsys):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from test_terms import _nest
+
 from splitrel.catalog import axiom_catalog, instances, instantiate
 from splitrel.dsl import parse, print_term
 from splitrel.fuzz import TermSampler, random_term, random_term_pair
@@ -318,6 +320,51 @@ def test_equal_type_error_messages_are_pinned():
         TermTypeError, match=r"^cannot compose 3->3 with 2->2: 3 != 2$"
     ):
         equal(Comp(H(), Id(3)), H(), Category.PF)
+
+
+@pytest.mark.parametrize(
+    "bad, other, message",
+    [
+        # the walk meets these mismatches between padded factors; the
+        # error names the unpadded types, as `type_of` does
+        (Pad(1, Comp(H(), Id(3)), 0), Id(4), "cannot compose 3->3 with 2->2: 3 != 2"),
+        (Comp(Id(2), Pad(1, Comp(Id(3), H()), 0)), Id(3),
+         "cannot compose 2->2 with 3->3: 2 != 3"),
+    ],
+)
+def test_a_mismatch_under_a_padding_is_worded_as_type_of(bad, other, message):
+    with pytest.raises(TermTypeError) as typed:
+        type_of(bad)
+    assert str(typed.value) == message
+    with pytest.raises(TermTypeError) as compared:
+        equal(bad, other, Category.PF)
+    assert str(compared.value) == message
+    with pytest.raises(TermTypeError) as evaluated:
+        eval_term(bad)
+    assert str(evaluated.value) == message
+
+
+@pytest.mark.parametrize("side", ["after", "before"])
+def test_a_deep_term_evaluates_as_its_shallow_value(side):
+    depth = 5000
+    swaps = _nest([Swap()] * depth, side)
+    bridges = _nest([Pad(k % 2, H(), 1 - k % 2) for k in range(depth - 1)], side)
+    folds = _nest([DeltaK(1), NablaK(1)] * (depth // 2), side)
+    for category in (Category.PF, Category.EF):
+        assert equal(swaps, Id(2), category)
+        assert not equal(swaps, Swap(), category)
+        assert eval_term(swaps, category) == eval_term(Id(2), category)
+        assert equal(Comp(Swap(), swaps), Swap(), category)
+    assert type_of(swaps) == type_of(Id(2))
+    # bridges on 3 points, alternately on the left and the right pair:
+    # every such chain of two or more has one value
+    shallow = _nest([Pad(k % 2, H(), 1 - k % 2) for k in range(3)], side)
+    assert equal(bridges, shallow)
+    assert eval_term(bridges) == eval_term(shallow)
+    assert type_of(bridges) == type_of(shallow)
+    assert equal(folds, Id(1), Category.RB)
+    assert eval_term(folds) == eval_term(Id(1), Category.RB)
+    assert type_of(folds) == type_of(Id(1))
 
 
 # ------------------------------------------------------------------ laws on random terms

@@ -99,6 +99,82 @@ def test_type_error_in_nested_subterm():
         type_of(bad)
 
 
+def _recursive_type_of(t):
+    # the definition `type_of` follows, one recursion per node
+    if isinstance(t, Pad):
+        src, tgt = _recursive_type_of(t.body)
+        return TermType(t.left + src + t.right, t.left + tgt + t.right)
+    if not isinstance(t, Comp):
+        return type_of(t)
+    before_t = _recursive_type_of(t.before)
+    after_t = _recursive_type_of(t.after)
+    if before_t.tgt != after_t.src:
+        raise TermTypeError(
+            f"cannot compose {before_t} with {after_t}: {before_t.tgt} != {after_t.src}"
+        )
+    return TermType(before_t.src, after_t.tgt)
+
+
+def _typing(typer, t):
+    try:
+        return typer(t)
+    except TermTypeError as error:
+        return str(error)
+
+
+def test_type_of_agrees_with_its_recursive_definition():
+    rng = random.Random(13)
+    for category in Category:
+        for _ in range(150):
+            t = random_term(rng, category, max_depth=4)
+            assert type_of(t) == _recursive_type_of(t)
+            # glue random terms together, mostly ill-typed, so that the
+            # first mismatch found must be the recursive walk's
+            for _ in range(3):
+                u = random_term(rng, category, max_depth=3)
+                t = Comp(t, u) if rng.random() < 0.5 else Comp(u, t)
+                if rng.random() < 0.3:
+                    t = Pad(rng.randrange(2), t, rng.randrange(2))
+            assert _typing(type_of, t) == _typing(_recursive_type_of, t)
+
+
+def _nest(leaves, side):
+    # `leaves` in application order, composed one level per leaf with the
+    # rest of the chain nested on the `side` factor
+    if side == "after":
+        t = leaves[-1]
+        for leaf in reversed(leaves[:-1]):
+            t = Comp(t, leaf)
+        return t
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        t = Comp(leaf, t)
+    return t
+
+
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        # a recursive walk checks an after-nested chain from its last
+        # junction, and a before-nested chain from its first
+        ("after", "cannot compose 2->2 with 4->4: 2 != 4"),
+        ("before", "cannot compose 4->4 with 2->2: 4 != 2"),
+    ],
+)
+def test_type_of_walks_a_deep_term_without_recursing(side, message):
+    for depth in (20, 5000):
+        leaves = [pad(k % 3, H(), 2 - k % 3) for k in range(depth)]
+        assert type_of(_nest(leaves, side)) == TermType(4, 4)
+        assert type_of(Pad(1, _nest(leaves, side), 0)) == TermType(5, 5)
+        # one ill-typed leaf in the middle of the chain
+        leaves[depth // 2] = H()
+        if depth < sys.getrecursionlimit():
+            assert _typing(_recursive_type_of, _nest(leaves, side)) == message
+        with pytest.raises(TermTypeError) as raised:
+            type_of(_nest(leaves, side))
+        assert str(raised.value) == message
+
+
 # ------------------------------------------------------------------ pad
 
 
